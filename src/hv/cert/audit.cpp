@@ -172,19 +172,29 @@ class SchemaAuditor {
         context_(std::move(context)),
         assignment_(trace.atoms.size(), -1),
         atom_cache_(trace.atoms.size()) {
-    for (const TracedConstraint& constraint : trace_.constraints) {
-      const Normalized normalized = normalize(constraint, /*positive=*/true);
+    for (std::size_t i = 0; i < trace_.constraints.size(); ++i) {
+      const int depth = trace_.constraint_depths[i];
+      const Normalized normalized = normalize(trace_.constraints[i], /*positive=*/true);
       if (normalized.constant) {
-        if (!normalized.value) constraints_false_ = true;
+        if (!normalized.value && (false_depth_ < 0 || depth < false_depth_)) false_depth_ = depth;
         continue;
       }
       for (const Premise& premise : normalized.premises) {
-        constraint_keys_.insert(premise_key(premise.terms, premise.rel, premise.bound));
+        const auto [it, inserted] =
+            constraint_keys_.emplace(premise_key(premise.terms, premise.rel, premise.bound), depth);
+        if (!inserted) it->second = std::min(it->second, depth);
       }
     }
   }
 
   bool audit_proof(const Node& root) { return verify(root, 0); }
+
+  /// The deepest assertion scope the audited proof cites: the shallowest
+  /// depth of each constraint premise (constant-false ones included) and the
+  /// depth of each conflict or propagation clause. Atoms and branch splits
+  /// are case splits and cite nothing. A refutation citing depth <= d holds
+  /// for the first d chain elements alone — what a subtree cut claims.
+  int cited_depth() const noexcept { return cited_depth_; }
 
   bool audit_model(const std::vector<std::pair<std::string, BigInt>>& model) {
     std::map<std::string, BigInt> values;
@@ -252,6 +262,8 @@ class SchemaAuditor {
     return false;
   }
 
+  void cite(int depth) { cited_depth_ = std::max(cited_depth_, depth); }
+
   const Normalized& normalized_atom(int atom, bool positive) {
     auto& slot = atom_cache_[static_cast<std::size_t>(atom)][positive ? 1 : 0];
     if (!slot) slot = normalize(trace_.atoms[static_cast<std::size_t>(atom)], positive);
@@ -269,8 +281,11 @@ class SchemaAuditor {
       if (trivially_true) return true;
       switch (premise.origin) {
         case PremiseOrigin::kConstraint:
-          if (constraints_false_) return true;
-          return fail("premise claims a constraint is constant-false, but none is");
+          if (false_depth_ < 0) {
+            return fail("premise claims a constraint is constant-false, but none is");
+          }
+          cite(false_depth_);
+          return true;
         case PremiseOrigin::kAtom: {
           if (premise.atom < 0 || premise.atom >= static_cast<int>(trace_.atoms.size())) {
             return fail("premise cites an invalid atom index");
@@ -292,11 +307,15 @@ class SchemaAuditor {
     }
 
     switch (premise.origin) {
-      case PremiseOrigin::kConstraint:
-        if (constraint_keys_.count(premise_key(premise.terms, premise.rel, premise.bound)) > 0) {
-          return true;
+      case PremiseOrigin::kConstraint: {
+        const auto it =
+            constraint_keys_.find(premise_key(premise.terms, premise.rel, premise.bound));
+        if (it == constraint_keys_.end()) {
+          return fail("premise is not among the asserted constraints");
         }
-        return fail("premise is not among the asserted constraints");
+        cite(it->second);
+        return true;
+      }
       case PremiseOrigin::kAtom: {
         if (premise.atom < 0 || premise.atom >= static_cast<int>(trace_.atoms.size())) {
           return fail("premise cites an invalid atom index");
@@ -379,6 +398,7 @@ class SchemaAuditor {
         if (node.clause < 0 || node.clause >= static_cast<int>(trace_.clauses.size())) {
           return fail("conflict cites an invalid clause index");
         }
+        cite(trace_.clause_depths[static_cast<std::size_t>(node.clause)]);
         for (const TracedLiteral& literal : trace_.clauses[static_cast<std::size_t>(node.clause)]) {
           if (!literal_false(literal)) {
             return fail("clause #" + std::to_string(node.clause) +
@@ -396,6 +416,7 @@ class SchemaAuditor {
           return fail("propagation cites an invalid atom index");
         }
         if (node.first == nullptr) return fail("propagation without a child");
+        cite(trace_.clause_depths[static_cast<std::size_t>(node.clause)]);
         bool found_forced = false;
         for (const TracedLiteral& literal : trace_.clauses[static_cast<std::size_t>(node.clause)]) {
           if (literal.atom == node.atom && literal.positive == node.positive) {
@@ -467,8 +488,9 @@ class SchemaAuditor {
   const Trace& trace_;
   AuditReport& report_;
   std::string context_;
-  std::set<std::string> constraint_keys_;
-  bool constraints_false_ = false;
+  std::map<std::string, int> constraint_keys_;  // premise key -> shallowest depth
+  int false_depth_ = -1;  // shallowest constant-false constraint, -1 if none
+  int cited_depth_ = 0;
   std::vector<signed char> assignment_;
   std::vector<Premise> branch_stack_;
   std::vector<std::array<std::optional<Normalized>, 2>> atom_cache_;
@@ -592,6 +614,8 @@ struct PropertyAuditState {
     const SchemaCert* cert = nullptr;
     bool green = false;
     bool seen_in_enumeration = false;
+    /// SchemaAuditor::cited_depth() of the refutation (when green).
+    int depth = 0;
   };
   std::map<std::string, Entry> covered;
   std::map<std::string, bool> pruned;  // key -> seen in enumeration
@@ -698,6 +722,16 @@ bool prepare_property(const GuardAnalysis& analysis, const ta::ThresholdAutomato
       state.shapes_ok = false;
     }
   }
+  for (const CutCert& cut : cert.cuts) {
+    std::string why;
+    if (cut.query_index >= static_cast<std::int64_t>(state.query_count) ||
+        !schema_shape_ok(cut.witness, analysis.guard_count(),
+                         property.queries[static_cast<std::size_t>(cut.query_index)].cuts.size(),
+                         why)) {
+      add_issue(sink, context, "malformed subtree-cut entry");
+      state.shapes_ok = false;
+    }
+  }
   for (std::size_t q = 0; q < state.query_count; ++q) {
     std::sort(state.by_query[q].begin(), state.by_query[q].end(),
               [](const SchemaCert* lhs, const SchemaCert* rhs) {
@@ -748,8 +782,47 @@ void audit_entry_range(const GuardAnalysis& analysis, PropertyAuditState& state,
       }
       ++sink.schemas_covered;
     }
-    state.covered[schema_key(entry->query_index, entry->schema)].green = green;
+    PropertyAuditState::Entry& covered =
+        state.covered.at(schema_key(entry->query_index, entry->schema));
+    covered.green = green;
+    covered.depth = auditor.cited_depth();
   }
+}
+
+/// Why a subtree cut does not hold, or empty when it does: its witness must
+/// be a covered unsat schema whose refutation audited green, whose chain
+/// starts with the prefix, whose first cut segment is not inside the prefix
+/// (so the prefix was encoded as plain levels) and whose refutation cites
+/// nothing deeper than the prefix's levels.
+std::string cut_rejection(const PropertyAuditState& state, const CutCert& cut) {
+  const auto it = state.covered.find(schema_key(cut.query_index, cut.witness));
+  if (it == state.covered.end()) return "the witness is not a covered schema";
+  const PropertyAuditState::Entry& witness = it->second;
+  if (witness.cert->sat) return "the witness is a sat schema";
+  if (!witness.green) return "the witness refutation did not audit green";
+  const std::vector<int>& chain = cut.witness.unlock_order;
+  if (cut.prefix.size() > chain.size() ||
+      !std::equal(cut.prefix.begin(), cut.prefix.end(), chain.begin())) {
+    return "the prefix does not start the witness chain";
+  }
+  const int length = static_cast<int>(cut.prefix.size());
+  if (!cut.witness.cut_positions.empty() && cut.witness.cut_positions[0] < length) {
+    return "the witness's first cut segment lies inside the prefix";
+  }
+  if (witness.depth > length) {
+    return "the witness refutation cites scope depth " + std::to_string(witness.depth) +
+           ", beyond the prefix";
+  }
+  return {};
+}
+
+std::string cut_key(const CutCert& cut) {
+  std::string key = "q" + std::to_string(cut.query_index) + "|p";
+  for (const int guard : cut.prefix) {
+    key += std::to_string(guard);
+    key += ',';
+  }
+  return key;
 }
 
 /// Phase 3: coverage. A holds verdict claims the audited refutations
@@ -763,25 +836,55 @@ void audit_coverage(const GuardAnalysis& analysis, PropertyAuditState& state,
   const spec::Property& property = *state.property;
 
   if (cert.verdict == "holds" && state.shapes_ok) {
+    std::vector<std::set<std::vector<int>>> cut_prefixes(state.query_count);
+    for (const CutCert& cut : cert.cuts) {
+      const std::string why = cut_rejection(state, cut);
+      if (why.empty()) {
+        cut_prefixes[static_cast<std::size_t>(cut.query_index)].insert(cut.prefix);
+      } else {
+        add_issue(sink, context, "subtree cut rejected (" + cut_key(cut) + "): " + why);
+      }
+    }
+    // The CutIndex::covers predicate: some verified prefix starts the
+    // chain, whatever the schema's cut placement (see audit.h).
+    const auto cut_covers = [&](std::size_t q, const Schema& schema) {
+      const std::set<std::vector<int>>& prefixes = cut_prefixes[q];
+      if (prefixes.empty()) return false;
+      std::vector<int> prefix;
+      for (const int guard : schema.unlock_order) {
+        if (prefixes.contains(prefix)) return true;
+        prefix.push_back(guard);
+      }
+      return prefixes.contains(prefix);
+    };
     for (std::size_t q = 0; q < state.query_count; ++q) {
       const int cut_count = static_cast<int>(property.queries[q].cuts.size());
       const checker::EnumerationOutcome outcome = checker::enumerate_schemas(
           analysis, cut_count, cert.enumeration, [&](const Schema& schema) {
             const std::string key = schema_key(static_cast<std::int64_t>(q), schema);
             if (cert.property_directed_pruning && !state.cones[q].schema_feasible(schema)) {
+              // A manifest entry first, so schemas_pruned counts exactly the
+              // manifest; a schema the run cut before the cone saw it is not
+              // in the manifest.
               const auto it = state.pruned.find(key);
-              if (it == state.pruned.end()) {
-                add_issue(sink, context, "cone-pruned schema missing from the manifest (" +
-                                             key + ")");
-              } else {
+              if (it != state.pruned.end()) {
                 it->second = true;
                 ++sink.schemas_pruned;
+              } else if (cut_covers(q, schema)) {
+                ++sink.schemas_cut;
+              } else {
+                add_issue(sink, context, "cone-pruned schema missing from the manifest (" +
+                                             key + ")");
               }
               return true;
             }
             const auto it = state.covered.find(key);
             if (it == state.covered.end()) {
-              add_issue(sink, context, "schema not covered by any refutation (" + key + ")");
+              if (cut_covers(q, schema)) {
+                ++sink.schemas_cut;
+              } else {
+                add_issue(sink, context, "schema not covered by any refutation (" + key + ")");
+              }
               return true;
             }
             it->second.seen_in_enumeration = true;
@@ -903,6 +1006,7 @@ void merge_report(AuditReport& report, const AuditReport& part) {
   report.properties_audited += part.properties_audited;
   report.schemas_covered += part.schemas_covered;
   report.schemas_pruned += part.schemas_pruned;
+  report.schemas_cut += part.schemas_cut;
   report.models_checked += part.models_checked;
   report.farkas_nodes += part.farkas_nodes;
 }
@@ -1079,6 +1183,7 @@ std::string AuditReport::to_string() const {
   os << "  refutations checked:  " << schemas_covered << " (" << farkas_nodes
      << " Farkas leaves)\n";
   os << "  cone decisions replayed: " << schemas_pruned << "\n";
+  os << "  schemas under verified cuts: " << schemas_cut << "\n";
   os << "  models evaluated:     " << models_checked << "\n";
   for (const std::string& warning : warnings) os << "  warning: " << warning << "\n";
   for (const std::string& issue : issues) os << "  issue: " << issue << "\n";

@@ -14,12 +14,32 @@
 // verification effort is actually spent and where a soundness bug would
 // hide — are entirely out of the audit path.
 //
+// Learned facts. A lemma-hit schema carries the pooled Farkas leaf as its
+// proof; it is audited like any other proof, against that schema's own
+// re-encoding. A subtree cut (query, prefix, witness) is accepted only if
+// the witness is a covered unsat schema whose proof audits green, the
+// witness chain starts with the prefix, the witness's first cut segment is
+// not inside the prefix, and every constraint premise (constant-false ones
+// included, at the shallowest depth asserting that premise) and every
+// conflict or propagation clause the proof cites was asserted at scope
+// depth <= |prefix| of the re-encoding — i.e. the refutation only uses the
+// prefix's levels, which every schema extending the prefix asserts
+// verbatim. The trace-mode encoder that records those depths is the same
+// trusted front end as above. A verified cut covers every schema whose
+// chain starts with its prefix, for any cut placement — the predicate the
+// checker's CutIndex uses. Schemas whose cuts fall inside the prefix are
+// encoded with split segments rather than the prefix's levels; their
+// coverage rests on the acceleration lemma (one topological pass per
+// context captures every execution of that context), which the auditor
+// already trusts for schema completeness.
+//
 // What a green audit establishes, per property:
 //   * verdict "holds": every schema the enumerator produces for every
-//     violation query is either covered by a checked Farkas/DPLL refutation
-//     or excluded by the (re-computed) query cone, the enumeration ran to
-//     completion within its budget, and every refutation is arithmetically
-//     valid — so no execution in schema form violates the property.
+//     violation query is covered by a checked Farkas/DPLL refutation, lies
+//     under a verified subtree cut, or is excluded by the (re-computed)
+//     query cone, the enumeration ran to completion within its budget, and
+//     every refutation is arithmetically valid — so no execution in schema
+//     form violates the property.
 //   * verdict "violated": at least one recorded model satisfies its
 //     re-encoded violation query exactly.
 //   * verdict "unknown": nothing (reported as a warning, not a failure).
@@ -46,7 +66,8 @@ struct AuditReport {
 
   std::int64_t properties_audited = 0;
   std::int64_t schemas_covered = 0;   // proof-carrying unsat schemas checked
-  std::int64_t schemas_pruned = 0;    // cone decisions reproduced
+  std::int64_t schemas_pruned = 0;    // cone decisions reproduced (manifest entries)
+  std::int64_t schemas_cut = 0;       // schemas under a verified subtree cut
   std::int64_t models_checked = 0;    // sat models evaluated
   std::int64_t farkas_nodes = 0;      // Farkas leaves arithmetically verified
 

@@ -296,29 +296,43 @@ std::unique_ptr<Node> node_from_json(const Json& json, const ReadPool& pool, int
   throw InvalidArgument("certificate: invalid proof node kind '" + kind + "'");
 }
 
-Json schema_to_json(std::int64_t query_index, const checker::Schema& schema) {
-  Json out = Json(Json::Object{});
-  out.set("query", query_index);
-  Json::Array chain;
-  chain.reserve(schema.unlock_order.size());
-  for (const int guard : schema.unlock_order) chain.push_back(Json(static_cast<std::int64_t>(guard)));
-  out.set("chain", Json(std::move(chain)));
-  Json::Array cuts;
-  cuts.reserve(schema.cut_positions.size());
-  for (const int cut : schema.cut_positions) cuts.push_back(Json(static_cast<std::int64_t>(cut)));
-  out.set("cuts", Json(std::move(cuts)));
+Json ints_to_json(const std::vector<int>& values) {
+  Json::Array out;
+  out.reserve(values.size());
+  for (const int value : values) out.push_back(Json(static_cast<std::int64_t>(value)));
+  return Json(std::move(out));
+}
+
+std::vector<int> ints_from_json(const Json& json) {
+  std::vector<int> out;
+  for (const Json& value : json.as_array()) out.push_back(static_cast<int>(value.as_int()));
   return out;
 }
 
-void schema_from_json(const Json& json, std::int64_t& query_index, checker::Schema& schema) {
-  query_index = json.at("query").as_int();
+/// Adds the "chain" and "cuts" fields of `schema` to the object `out`.
+void put_schema(Json& out, const checker::Schema& schema) {
+  out.set("chain", ints_to_json(schema.unlock_order));
+  out.set("cuts", ints_to_json(schema.cut_positions));
+}
+
+Json schema_to_json(std::int64_t query_index, const checker::Schema& schema) {
+  Json out = Json(Json::Object{});
+  out.set("query", query_index);
+  put_schema(out, schema);
+  return out;
+}
+
+std::int64_t query_from_json(const Json& json) {
+  const std::int64_t query_index = json.at("query").as_int();
   if (query_index < 0) throw InvalidArgument("certificate: negative query index");
-  for (const Json& guard : json.at("chain").as_array()) {
-    schema.unlock_order.push_back(static_cast<int>(guard.as_int()));
-  }
-  for (const Json& cut : json.at("cuts").as_array()) {
-    schema.cut_positions.push_back(static_cast<int>(cut.as_int()));
-  }
+  return query_index;
+}
+
+checker::Schema schema_from_json(const Json& json) {
+  checker::Schema schema;
+  schema.unlock_order = ints_from_json(json.at("chain"));
+  schema.cut_positions = ints_from_json(json.at("cuts"));
+  return schema;
 }
 
 Json property_to_json(const PropertyCert& property) {
@@ -366,6 +380,21 @@ Json property_to_json(const PropertyCert& property) {
     pruned.push_back(schema_to_json(entry.query_index, entry.schema));
   }
   out.set("pruned", Json(std::move(pruned)));
+  if (!property.cuts.empty()) {
+    Json::Array cuts;
+    cuts.reserve(property.cuts.size());
+    for (const CutCert& cut : property.cuts) {
+      // The witness is an entry of the same query's evidence list.
+      Json witness = Json(Json::Object{});
+      put_schema(witness, cut.witness);
+      Json item = Json(Json::Object{});
+      item.set("query", cut.query_index);
+      item.set("prefix", ints_to_json(cut.prefix));
+      item.set("witness", std::move(witness));
+      cuts.push_back(std::move(item));
+    }
+    out.set("cuts", Json(std::move(cuts)));
+  }
   return out;
 }
 
@@ -386,7 +415,8 @@ PropertyCert property_from_json(const Json& json) {
   const ReadPool pool(json.find("names"), json.find("premises"));
   for (const Json& item : json.at("schemas").as_array()) {
     SchemaCert entry;
-    schema_from_json(item, entry.query_index, entry.schema);
+    entry.query_index = query_from_json(item);
+    entry.schema = schema_from_json(item);
     entry.sat = item.at("sat").as_bool();
     if (entry.sat) {
       for (const auto& [name, value] : item.at("model").as_object()) {
@@ -398,9 +428,13 @@ PropertyCert property_from_json(const Json& json) {
     property.schemas.push_back(std::move(entry));
   }
   for (const Json& item : json.at("pruned").as_array()) {
-    PrunedCert entry;
-    schema_from_json(item, entry.query_index, entry.schema);
-    property.pruned.push_back(std::move(entry));
+    property.pruned.push_back({query_from_json(item), schema_from_json(item)});
+  }
+  if (const Json* cuts = json.find("cuts")) {
+    for (const Json& item : cuts->as_array()) {
+      property.cuts.push_back({query_from_json(item), ints_from_json(item.at("prefix")),
+                               schema_from_json(item.at("witness"))});
+    }
   }
   return property;
 }

@@ -6,7 +6,8 @@
 // the properties with their verdicts, and for every (query, schema) pair of
 // a certified run carries either a Farkas/DPLL proof tree (unsat) or a full
 // named integer model (sat), plus the enumeration manifest needed to
-// re-derive that the covered schema set is complete for the chain tree.
+// re-derive that the covered schema set is complete for the chain tree:
+// cone-pruned schemas and the subtree cuts that stood in for solving.
 // The optional theorem6 section records the composed consensus verdicts of
 // the holistic pipeline (Agreement/Validity/Termination); the auditor
 // recomputes them from the audited per-property verdicts using the paper's
@@ -66,6 +67,15 @@ struct PrunedCert {
   checker::Schema schema;
 };
 
+/// A subtree cut: every schema of the query whose chain starts with
+/// `prefix` is unsat, by the refutation of the `witness` schema (an unsat
+/// entry of the same property's evidence list) restricted to the prefix.
+struct CutCert {
+  std::int64_t query_index = 0;
+  std::vector<int> prefix;
+  checker::Schema witness;
+};
+
 struct PropertyCert {
   std::string name;
   PropertySource source;
@@ -77,6 +87,7 @@ struct PropertyCert {
   bool complete = false;
   std::vector<SchemaCert> schemas;
   std::vector<PrunedCert> pruned;
+  std::vector<CutCert> cuts;  // serialized only when non-empty
 };
 
 /// One automaton with its certified properties.

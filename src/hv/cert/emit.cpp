@@ -62,6 +62,10 @@ PropertyCert make_property_cert(const spec::Property& property,
   for (const checker::PrunedSchema& pruned : result.evidence->pruned) {
     cert.pruned.push_back({static_cast<std::int64_t>(pruned.query_index), pruned.schema});
   }
+  cert.cuts.reserve(result.evidence->cuts.size());
+  for (const checker::CutEvidence& cut : result.evidence->cuts) {
+    cert.cuts.push_back({static_cast<std::int64_t>(cut.query_index), cut.prefix, cut.witness});
+  }
   return cert;
 }
 

@@ -43,7 +43,7 @@ class IncrementalSchemaEncoder::Impl {
     // Mode selection must precede the first declaration.
     if (mode_ == EncoderMode::kCertify) solver_.enable_certificates();
     if (mode_ == EncoderMode::kTrace) solver_.enable_trace();
-    if (mode_ == EncoderMode::kSolve && lemmas != nullptr) {
+    if (mode_ != EncoderMode::kTrace && lemmas != nullptr) {
       solver_.enable_learning(lemmas);
       learn_ = true;
     }
@@ -83,7 +83,7 @@ class IncrementalSchemaEncoder::Impl {
       }
     } else {
       if (mode_ == EncoderMode::kCertify) {
-        result.proof = std::shared_ptr<const smt::proof::Node>(solver_.take_last_proof());
+        result.proof = solver_.take_last_proof();
       }
       if (learn_) {
         // Scope layout: base at depth 0, level k (segment k under context

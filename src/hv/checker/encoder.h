@@ -53,7 +53,8 @@ struct EncodeResult {
   /// Learning mode only, on unsat: the refutation referenced nothing beyond
   /// the first `cut_prefix` chain elements, so every schema of this query
   /// whose unlock order starts with that prefix is unsat too (-1: no cut —
-  /// the refutation needed schema-specific constraints).
+  /// the refutation needed schema-specific constraints). The prefix never
+  /// reaches past the schema's first cut segment.
   int cut_prefix = -1;
   /// Lemma-pool activity on this schema (learning mode; differenced like
   /// pivots).
@@ -88,11 +89,11 @@ EncodeResult solve_schema(const GuardAnalysis& analysis, const Schema& schema,
 /// owns its encoders. After a check() throws (branch/time budget), the
 /// encoder is poisoned and must be discarded.
 ///
-/// When `lemmas` is non-null (kSolve mode only — learning elides work a
-/// certificate would have to cover), the underlying solver runs in learning
-/// mode against that shared pool: pooled Farkas refutations short-circuit
-/// checks, new pure-constraint refutations are banked, and unsat results
-/// report EncodeResult::cut_prefix.
+/// When `lemmas` is non-null (kSolve or kCertify), the underlying solver runs
+/// in learning mode against that shared pool: pooled Farkas refutations
+/// short-circuit checks, new pure-constraint refutations are banked, and
+/// unsat results report EncodeResult::cut_prefix. In kCertify mode a lemma
+/// hit's proof is the pooled lemma's Farkas leaf.
 class IncrementalSchemaEncoder {
  public:
   IncrementalSchemaEncoder(const GuardAnalysis& analysis, const spec::ReachQuery& query,

@@ -21,9 +21,22 @@
 // Trust boundary: neither kind of learned fact can flip a verdict. A cut
 // only suppresses solving of schemas whose unsat-ness is entailed by an
 // already-solved refutation; a lemma hit only replaces a solver run that
-// would have returned unsat anyway. Certifying runs disable learning
-// entirely (CheckOptions gate) so certificates keep per-schema coverage and
-// stay byte-compatible; the auditor never sees learned facts.
+// would have returned unsat anyway.
+//
+// Certifying runs learn too, and both facts become audited evidence:
+//
+//   * a lemma hit's proof is the pooled lemma's Farkas leaf. Every premise
+//     is a permanent constraint, so the auditor re-checks it against the
+//     hit schema's own re-encoding like any other leaf;
+//   * a cut enters the certificate as (query, prefix, witness), where the
+//     witness is the covered unsat schema whose refutation produced it.
+//     The auditor accepts the cut only if the witness audits green, its
+//     chain starts with the prefix and its first cut segment does not lie
+//     inside it, and every constraint and clause its proof cites sits at a
+//     scope depth <= |prefix| of the re-encoding (hv/cert/audit.h).
+//
+// The distributed fleet does not ship cut witnesses yet, so certifying
+// fleet runs keep learning off (dist/coordinator.cpp).
 #ifndef HV_CHECKER_LEARNING_H
 #define HV_CHECKER_LEARNING_H
 

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -72,6 +73,7 @@ struct RunState {
   // worker-interleaved — the auditor's coverage check is set-based.
   std::vector<SchemaEvidence> evidence;
   std::vector<PrunedSchema> pruned_schemas;
+  std::vector<CutEvidence> cuts;
 };
 
 // Run-wide fault-tolerance plumbing, shared read-only across workers
@@ -201,6 +203,13 @@ void settle_unit(SchemaSolver& solver, const spec::Property& property,
     item.model = outcome.model;
     std::lock_guard<std::mutex> lock(state.mutex);
     state.evidence.push_back(std::move(item));
+    if (cut_field >= 0) {
+      // This schema's refutation is the cut's witness.
+      state.cuts.push_back({query_index,
+                            std::vector<int>(schema.unlock_order.begin(),
+                                             schema.unlock_order.begin() + cut_field),
+                            schema});
+    }
   }
   if (!sat) return;
   if (!outcome.validation_error.empty()) {
@@ -269,7 +278,7 @@ std::vector<SubtreeTask> plan_tasks(const GuardAnalysis& analysis, const CheckOp
 }  // namespace
 
 bool lemmas_enabled(const CheckOptions& options) {
-  if (!options.lemmas || !options.incremental || options.certify) return false;
+  if (!options.lemmas || !options.incremental) return false;
   const char* value = std::getenv("HV_NO_LEMMAS");
   return value == nullptr || value[0] == '\0' || std::string_view(value) == "0";
 }
@@ -614,6 +623,17 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
     auto evidence = std::make_shared<PropertyEvidence>();
     evidence->schemas = std::move(state.evidence);
     evidence->pruned = std::move(state.pruned_schemas);
+    // Keep only the cuts the index still holds: a prefix a later, shorter
+    // cut subsumed covers nothing the shorter one does not.
+    std::vector<std::set<std::vector<int>>> live(property.queries.size());
+    for (std::size_t q = 0; learn != nullptr && q < live.size(); ++q) {
+      for (std::vector<int>& prefix : learn->queries[q].cuts.snapshot()) {
+        live[q].insert(std::move(prefix));
+      }
+    }
+    for (CutEvidence& cut : state.cuts) {
+      if (live[cut.query_index].contains(cut.prefix)) evidence->cuts.push_back(std::move(cut));
+    }
     evidence->enumeration = options.enumeration;
     evidence->property_directed_pruning = options.property_directed_pruning;
     // Only a holds verdict claims exhaustive coverage; violated stops at the

@@ -51,8 +51,11 @@ struct CheckOptions {
   /// cheap learned cuts before full solves) and skip subtrees whose shared
   /// chain prefix an earlier refutation already proved infeasible
   /// (PropertyResult::schemas_cut). Verdict-preserving; active only with
-  /// incremental solving and outside certify mode (certificates need
-  /// per-schema coverage). `hvc --no-lemmas` / HV_NO_LEMMAS=1 disable it.
+  /// incremental solving. Under certify both facts become evidence: a lemma
+  /// hit's proof is the pooled Farkas leaf, and each cut enters the
+  /// certificate with its witness refutation (PropertyEvidence::cuts).
+  /// `hvc --no-lemmas` / HV_NO_LEMMAS=1 disable it — the per-schema
+  /// certificate that results is the differential oracle.
   bool lemmas = true;
 
   // --- fault-tolerant runtime ------------------------------------------------
@@ -104,9 +107,10 @@ struct CheckOptions {
 };
 
 /// True iff this run learns lemmas/cuts: options.lemmas, with incremental
-/// solving, outside certify mode, and HV_NO_LEMMAS unset. Shared by the
-/// in-process engines and the distributed worker so every execution path
-/// gates identically.
+/// solving, and HV_NO_LEMMAS unset. Shared by the in-process engines and
+/// the distributed worker so every execution path gates identically (the
+/// distributed coordinator additionally keeps certifying fleets from
+/// learning).
 bool lemmas_enabled(const CheckOptions& options);
 
 /// Canonical fingerprint of every option that can change a run's verdicts

@@ -98,12 +98,25 @@ struct PrunedSchema {
   Schema schema;
 };
 
+/// A subtree cut (learning mode): every schema of the query whose unlock
+/// order starts with `prefix` is unsat, because the refutation of the
+/// `witness` schema (one of the evidence schemas) only cites constraints and
+/// clauses of the prefix's levels. The auditor re-checks that claim.
+struct CutEvidence {
+  std::size_t query_index = 0;
+  std::vector<int> prefix;
+  Schema witness;
+};
+
 /// Everything a certificate needs beyond the verdict: per-schema evidence
 /// plus the enumeration manifest (which schema set was covered and under
 /// which options, so the auditor can re-derive its completeness).
 struct PropertyEvidence {
   std::vector<SchemaEvidence> schemas;
   std::vector<PrunedSchema> pruned;
+  /// The run's final subtree cuts (prefixes subsumed by a shorter cut are
+  /// dropped), each with its witness.
+  std::vector<CutEvidence> cuts;
   EnumerationOptions enumeration;
   bool property_directed_pruning = false;
   /// True iff the enumeration ran to the end for every query (the holds

@@ -1373,8 +1373,11 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
   wire.enumeration.max_schemas = std::numeric_limits<std::int64_t>::max();
   // Spot-checking disables cross-schema learning: a forged lemma or subtree
   // cut from an untrusted worker would poison honest workers in ways no
-  // per-record re-solve can detect.
-  c.learn = checker::lemmas_enabled(c.check) && options.spot_check_rate <= 0.0;
+  // per-record re-solve can detect. Certifying fleets do not learn either:
+  // cut witnesses and lemma proofs do not travel over the wire yet
+  // (ROADMAP item 4), and a cut without its witness is a coverage hole.
+  c.learn = checker::lemmas_enabled(c.check) && !c.check.certify &&
+            options.spot_check_rate <= 0.0;
   c.welcome = cert::Json::Object{{"type", "welcome"},
                                  {"protocol", kDistProtocolVersion},
                                  {"model_hash", model_hash},

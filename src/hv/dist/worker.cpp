@@ -189,9 +189,10 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   hooks.injector = &injector;
   hooks.memory_polls = &memory_polls;
   // Cross-schema learning, active only when both sides negotiated "learn"
-  // and the shipped options allow it (incremental, not certify, lemmas on,
-  // HV_NO_LEMMAS unset). One pool + cut index per (property, query), fed by
-  // local refutations and by coordinator learn frames/lease payloads.
+  // (the coordinator never offers it to a certifying run) and the shipped
+  // options allow it (incremental, lemmas on, HV_NO_LEMMAS unset). One
+  // pool + cut index per (property, query), fed by local refutations and by
+  // coordinator learn frames/lease payloads.
   const bool learn_mode = peer_learn && checker::lemmas_enabled(check);
   std::vector<std::unique_ptr<checker::PropertyLearning>> learning(properties.size());
   const auto learning_for = [&](std::size_t p) -> checker::PropertyLearning& {

@@ -38,11 +38,13 @@ std::vector<Lemma> LemmaPool::take_fresh() {
   return std::exchange(fresh_, {});
 }
 
-bool LemmaPool::probe(const std::function<int(const std::string&)>& min_depth,
-                      int* depth) const {
+bool LemmaPool::probe(const std::function<int(const std::string&)>& min_depth, int* depth,
+                      std::shared_ptr<const proof::Node>* proof) const {
   std::lock_guard<std::mutex> lock(mutex_);
   int best = -1;
+  const Lemma* picked = nullptr;
   for (const Lemma& lemma : lemmas_) {
+    if (proof != nullptr && lemma.proof == nullptr) continue;
     int lemma_depth = 0;
     bool matched = true;
     for (const std::string& premise : lemma.premises) {
@@ -54,11 +56,15 @@ bool LemmaPool::probe(const std::function<int(const std::string&)>& min_depth,
       lemma_depth = std::max(lemma_depth, d);
     }
     if (!matched) continue;
-    if (best < 0 || lemma_depth < best) best = lemma_depth;
+    if (best < 0 || lemma_depth < best) {
+      best = lemma_depth;
+      picked = &lemma;
+    }
     if (best == 0) break;  // cannot improve
   }
   if (best < 0) return false;
   if (depth != nullptr) *depth = best;
+  if (proof != nullptr) *proof = picked->proof;
   return true;
 }
 

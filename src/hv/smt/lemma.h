@@ -16,6 +16,11 @@
 // scope depth of the deepest premise, which the checker turns into a
 // subtree cut (see hv/checker/learning.h).
 //
+// In certify mode each lemma also keeps the Farkas leaf it was banked from.
+// A hit hands that leaf out as the schema's proof: every premise is a
+// permanent constraint, so the auditor re-checks it against the hit
+// schema's own re-encoding like any other leaf.
+//
 // Thread safety: one pool is shared by every encoder working on the same
 // query (in-process pool workers, or the distributed worker's per-query
 // state); all public methods lock.
@@ -24,10 +29,13 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
+
+#include "hv/smt/proof.h"
 
 namespace hv::smt {
 
@@ -35,6 +43,8 @@ namespace hv::smt {
 /// constraint set whose conjunction is rationally infeasible.
 struct Lemma {
   std::vector<std::string> premises;  // sorted, deduplicated
+  /// Certify mode only: the Farkas leaf over exactly these premises.
+  std::shared_ptr<const proof::Node> proof = nullptr;
 };
 
 class LemmaPool {
@@ -57,8 +67,11 @@ class LemmaPool {
   /// `min_depth` maps a canonical inequality string to the shallowest scope
   /// depth asserting a content-equal constraint, or -1 when absent. On a
   /// hit, *depth receives the smallest max-premise-depth over all matching
-  /// lemmas (the strongest subtree cut) and probe returns true.
-  bool probe(const std::function<int(const std::string&)>& min_depth, int* depth) const;
+  /// lemmas (the strongest subtree cut) and probe returns true. With a
+  /// non-null `proof`, only lemmas carrying a Farkas leaf are eligible and
+  /// *proof receives the picked lemma's leaf.
+  bool probe(const std::function<int(const std::string&)>& min_depth, int* depth,
+             std::shared_ptr<const proof::Node>* proof = nullptr) const;
 
   std::size_t size() const;
 

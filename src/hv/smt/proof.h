@@ -110,11 +110,15 @@ struct TracedLiteral {
 /// Snapshot of every assertion alive on the solver stack, produced by a
 /// trace-mode solver (no simplex, no search). The auditor re-encodes a
 /// schema through the ordinary encoder running on such a solver and audits
-/// the certificate's proof tree against this trace.
+/// the certificate's proof tree against this trace. The depths (the scope
+/// depth each constraint and clause was asserted at) let the auditor check
+/// that a refutation stays inside a chain prefix (subtree cuts).
 struct Trace {
   std::vector<TracedConstraint> constraints;
+  std::vector<int> constraint_depths;  // parallel to constraints
   std::vector<TracedConstraint> atoms;
   std::vector<std::vector<TracedLiteral>> clauses;
+  std::vector<int> clause_depths;  // parallel to clauses
 };
 
 }  // namespace hv::smt::proof

@@ -12,14 +12,14 @@ Solver::Solver() = default;
 
 void Solver::enable_certificates() {
   HV_REQUIRE(names_.empty() && scopes_.empty() && atoms_.empty() && clauses_.empty());
-  HV_REQUIRE(!trace_ && !learn_);
+  HV_REQUIRE(!trace_);
   certify_ = true;
   simplex_.set_conflict_tracking(true);
 }
 
 void Solver::enable_learning(LemmaPool* pool) {
   HV_REQUIRE(names_.empty() && scopes_.empty() && atoms_.empty() && clauses_.empty());
-  HV_REQUIRE(!trace_ && !certify_);
+  HV_REQUIRE(!trace_);
   learn_ = true;
   lemmas_ = pool;
   // Conflict explanations carry the premise tags the depth fold and lemma
@@ -49,6 +49,7 @@ void Solver::add_lower_bound(VarId var, const BigInt& bound) {
   if (trace_) {
     traced_constraints_.push_back(
         make_ge(LinearExpr::variable(var), LinearExpr(bound)));
+    traced_constraint_depths_.push_back(scope_depth());
     return;
   }
   int tag = -1;
@@ -65,6 +66,7 @@ void Solver::add_upper_bound(VarId var, const BigInt& bound) {
   if (trace_) {
     traced_constraints_.push_back(
         make_le(LinearExpr::variable(var), LinearExpr(bound)));
+    traced_constraint_depths_.push_back(scope_depth());
     return;
   }
   int tag = -1;
@@ -163,6 +165,7 @@ void Solver::pop() {
   }
   premises_.resize(scope.premise_count);
   traced_constraints_.resize(scope.trace_constraint_count);
+  traced_constraint_depths_.resize(scope.trace_constraint_count);
   if (certify_ || learn_) slack_defs_.resize(scope.name_count);
   trivially_unsat_ = scope.trivially_unsat;
   trivial_depth_ = scope.trivial_depth;
@@ -244,6 +247,7 @@ Solver::NormalizedAtom Solver::normalize(const LinearConstraint& constraint) {
 void Solver::add(const LinearConstraint& constraint) {
   if (trace_) {
     traced_constraints_.push_back(constraint);
+    traced_constraint_depths_.push_back(scope_depth());
     return;
   }
   const NormalizedAtom atom = normalize(constraint);
@@ -363,6 +367,7 @@ int Solver::note_simplex_conflict() {
   }
   conflict_scope_depth_ = std::max(conflict_scope_depth_, depth);
   if (pure && lemmas_ != nullptr && !lemma.premises.empty()) {
+    if (certify_) lemma.proof = farkas_from_conflict();
     if (lemmas_->insert(std::move(lemma))) ++stats_.lemmas_learned;
   }
   return depth;
@@ -466,7 +471,7 @@ CheckResult Solver::check() {
   if (trivially_unsat_) {
     if (certify_) {
       HV_REQUIRE(trivial_proof_ != nullptr);
-      last_proof_ = proof::clone(*trivial_proof_);
+      last_proof_ = trivial_proof_;
     }
     conflict_scope_depth_ = trivial_depth_;
     return CheckResult::kUnsat;
@@ -475,14 +480,16 @@ CheckResult Solver::check() {
     // A pooled lemma whose premises are all currently asserted refutes this
     // context without touching the simplex. The depth it reports is the
     // deepest scope any matched premise needs, so the subtree-cut contract
-    // of conflict_scope_depth() carries over.
+    // of conflict_scope_depth() carries over. Certifying, the lemma's own
+    // Farkas leaf is the proof: its premises are exactly the matched
+    // constraints.
     int depth = -1;
     const auto min_depth = [&](const std::string& sig) -> int {
       const auto it = asserted_sigs_.find(sig);
       if (it == asserted_sigs_.end() || it->second.empty()) return -1;
       return it->second.front();
     };
-    if (lemmas_->probe(min_depth, &depth)) {
+    if (lemmas_->probe(min_depth, &depth, certify_ ? &last_proof_ : nullptr)) {
       ++stats_.lemma_hits;
       conflict_scope_depth_ = depth;
       return CheckResult::kUnsat;
@@ -802,6 +809,8 @@ proof::Trace Solver::snapshot_trace() const {
   }
   trace.atoms.reserve(traced_atoms_.size());
   for (const LinearConstraint& atom : traced_atoms_) trace.atoms.push_back(render(atom));
+  trace.constraint_depths = traced_constraint_depths_;
+  trace.clause_depths = clause_depths_;
   trace.clauses.reserve(clauses_.size());
   for (const auto& clause : clauses_) {
     std::vector<proof::TracedLiteral> literals;

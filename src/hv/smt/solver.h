@@ -137,15 +137,16 @@ class Solver {
   // --- learning mode ---------------------------------------------------------
 
   /// Turns on cross-check learning against a shared Farkas lemma pool. Must
-  /// be called on a pristine solver; mutually exclusive with
-  /// enable_certificates()/enable_trace() (learning elides work, which
-  /// would leave coverage holes in a certificate). The pool must outlive
-  /// the solver; nullptr keeps conflict-depth tracking without a pool.
+  /// be called on a pristine solver; mutually exclusive with enable_trace().
+  /// The pool must outlive the solver; nullptr keeps conflict-depth
+  /// tracking without a pool.
   ///
   /// Effects: pure-Farkas conflicts (every cited premise a permanent
   /// constraint) are banked into the pool; check() probes the pool against
   /// the currently asserted constraints and short-circuits to kUnsat on a
   /// hit; every kUnsat check() additionally reports conflict_scope_depth().
+  /// Combined with enable_certificates(), banked lemmas carry their Farkas
+  /// leaf and a hit leaves that leaf in last_proof().
   void enable_learning(LemmaPool* pool);
   bool learning() const noexcept { return learn_; }
 
@@ -160,8 +161,11 @@ class Solver {
   /// Proof for the most recent check() == kUnsat (null after kSat or when
   /// certificates are disabled). Valid until the next check().
   const proof::Node* last_proof() const noexcept { return last_proof_.get(); }
-  /// Transfers ownership of the last proof to the caller.
-  std::unique_ptr<proof::Node> take_last_proof() noexcept { return std::move(last_proof_); }
+  /// Hands the last proof to the caller. Lemma-hit proofs are shared with
+  /// the pool, so the tree is immutable.
+  std::shared_ptr<const proof::Node> take_last_proof() noexcept {
+    return std::move(last_proof_);
+  }
 
   /// The last model as (name, value) pairs over the caller's named
   /// variables (internal slacks omitted). Valid after check() == kSat in
@@ -174,7 +178,8 @@ class Solver {
   /// simplex, no normalization, no search — add()/add_atom()/add_clause()
   /// and push()/pop() merely maintain the name-space assertion trace
   /// returned by snapshot_trace(); check() throws. Must be called on a
-  /// pristine solver; mutually exclusive with enable_certificates().
+  /// pristine solver; mutually exclusive with enable_certificates() and
+  /// enable_learning().
   void enable_trace();
   bool tracing() const noexcept { return trace_; }
 
@@ -230,8 +235,9 @@ class Solver {
   std::string premise_signature(int var, Relation rel, const BigInt& bound) const;
   // Learning mode, called at every simplex conflict: folds the depth of the
   // cited permanent constraints into conflict_scope_depth_, banks the
-  // conflict as a lemma when it is a pure Farkas combination of permanent
-  // constraints, and returns the conflict's own depth contribution.
+  // conflict as a lemma (with its Farkas leaf when certifying) when it is a
+  // pure Farkas combination of permanent constraints, and returns the
+  // conflict's own depth contribution.
   int note_simplex_conflict();
   void note_clause_depth(int clause);
   // Farkas leaf from the simplex's last conflict explanation.
@@ -295,7 +301,7 @@ class Solver {
   // Per-variable slack definitions (empty for non-slacks); parallel to
   // names_ while certifying.
   std::vector<std::vector<std::pair<VarId, BigInt>>> slack_defs_;
-  std::unique_ptr<proof::Node> last_proof_;
+  std::shared_ptr<const proof::Node> last_proof_;
   std::shared_ptr<proof::Node> trivial_proof_;
   std::unique_ptr<proof::Node> pending_conflict_;
 
@@ -311,6 +317,7 @@ class Solver {
   // Trace mode.
   bool trace_ = false;
   std::vector<LinearConstraint> traced_constraints_;
+  std::vector<int> traced_constraint_depths_;  // parallel to traced_constraints_
   std::vector<LinearConstraint> traced_atoms_;
 
   Stats stats_;

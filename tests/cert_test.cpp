@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "hv/cert/json.h"
 #include "hv/checker/parameterized.h"
 #include "hv/models/bv_broadcast.h"
+#include "hv/models/simplified_consensus.h"
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
@@ -320,6 +322,7 @@ void expect_identical_reports(const AuditReport& single, const AuditReport& shar
   EXPECT_EQ(single.properties_audited, sharded.properties_audited);
   EXPECT_EQ(single.schemas_covered, sharded.schemas_covered);
   EXPECT_EQ(single.schemas_pruned, sharded.schemas_pruned);
+  EXPECT_EQ(single.schemas_cut, sharded.schemas_cut);
   EXPECT_EQ(single.models_checked, sharded.models_checked);
   EXPECT_EQ(single.farkas_nodes, sharded.farkas_nodes);
   EXPECT_EQ(single.to_string(), sharded.to_string());
@@ -390,6 +393,231 @@ TEST(CertShardedAuditTest, TamperedLeafIsCaughtWhicheverShardItLandsIn) {
       expect_identical_reports(single, audit_with_jobs(parsed, jobs));
     }
   }
+}
+
+// --- certified learning -----------------------------------------------------
+
+/// Certifies the simplified consensus automaton's Inv1_0 with learning on:
+/// the run cuts thousands of schemas and replays pooled lemmas, so its
+/// certificate carries a cut manifest and lemma-hit proofs. Cached; tests
+/// copy it (proof trees are shared, so mutations clone first).
+const Certificate& learned_certificate() {
+  static const Certificate certificate = [] {
+    const ta::ThresholdAutomaton ta = models::simplified_consensus_one_round();
+    std::vector<spec::Property> properties;
+    for (spec::Property& property : models::simplified_properties(ta)) {
+      if (property.name == "Inv1_0") properties.push_back(std::move(property));
+    }
+    checker::CheckOptions options;
+    options.certify = true;
+    const std::vector<checker::PropertyResult> results =
+        checker::check_properties(ta, properties, options);
+    Certificate out;
+    out.components.push_back(make_component_cert(builtin_model_source("simplified_consensus"),
+                                                 properties, results, "bundled"));
+    return out;
+  }();
+  return certificate;
+}
+
+PropertyCert& learned_property(Certificate& certificate) {
+  return certificate.components[0].properties[0];
+}
+
+/// Audits the wire form at --jobs 1 and 2, requires identical reports, and
+/// returns the single-process one.
+AuditReport audit_both(const Certificate& certificate) {
+  const Certificate parsed = parse_certificate(to_json_text(certificate));
+  const AuditReport single = audit_with_jobs(parsed, 1);
+  expect_identical_reports(single, audit_with_jobs(parsed, 2));
+  return single;
+}
+
+bool has_issue(const AuditReport& report, const std::string& needle) {
+  for (const std::string& issue : report.issues) {
+    if (issue.find(needle) != std::string::npos) return true;
+  }
+  return false;
+}
+
+SchemaCert* find_schema(PropertyCert& property, std::int64_t query, const checker::Schema& schema) {
+  for (SchemaCert& entry : property.schemas) {
+    if (entry.query_index == query && entry.schema.unlock_order == schema.unlock_order &&
+        entry.schema.cut_positions == schema.cut_positions) {
+      return &entry;
+    }
+  }
+  return nullptr;
+}
+
+/// The cut with the shortest non-empty prefix (the one covering most).
+CutCert& shortest_cut(PropertyCert& property) {
+  CutCert* best = nullptr;
+  for (CutCert& cut : property.cuts) {
+    if (!cut.prefix.empty() && (best == nullptr || cut.prefix.size() < best->prefix.size())) {
+      best = &cut;
+    }
+  }
+  EXPECT_NE(best, nullptr);
+  return *best;
+}
+
+TEST(CertLearningTest, LearnedCertificateAuditsGreen) {
+  Certificate certificate = learned_certificate();
+  const PropertyCert& property = learned_property(certificate);
+  ASSERT_FALSE(property.cuts.empty());
+  std::int64_t unsat = 0;
+  for (const SchemaCert& entry : property.schemas) unsat += entry.sat ? 0 : 1;
+  const AuditReport report = audit_both(certificate);
+  EXPECT_TRUE(report.ok) << report.to_string();
+  EXPECT_EQ(report.schemas_covered, unsat);
+  EXPECT_GT(report.schemas_cut, 0);
+  // The wire form keeps the manifest; a certificate without one parses as
+  // an empty list.
+  const Certificate parsed = parse_certificate(to_json_text(certificate));
+  EXPECT_EQ(parsed.components[0].properties[0].cuts.size(), property.cuts.size());
+  EXPECT_EQ(bv_certificate_text().find("\"prefix\""), std::string::npos);
+  const Certificate bv = parse_certificate(bv_certificate_text());
+  for (const PropertyCert& bv_property : bv.components[0].properties) {
+    EXPECT_TRUE(bv_property.cuts.empty());
+  }
+}
+
+TEST(CertLearningTamperTest, CutCitingBeyondItsPrefixRejected) {
+  // Shorten a cut's prefix by one guard: its witness refutation now cites
+  // constraints of a level the prefix no longer includes.
+  bool rejected = false;
+  for (std::size_t i = 0; i < learned_certificate().components[0].properties[0].cuts.size(); ++i) {
+    Certificate certificate = learned_certificate();
+    CutCert& cut = learned_property(certificate).cuts[i];
+    if (cut.prefix.empty()) continue;
+    cut.prefix.pop_back();
+    const AuditReport report = audit_both(certificate);
+    EXPECT_FALSE(report.ok);
+    if (has_issue(report, "beyond the prefix")) {
+      rejected = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(rejected) << "no cut whose witness needs its whole prefix";
+}
+
+TEST(CertLearningTamperTest, PrefixNotStartingTheWitnessChainRejected) {
+  Certificate certificate = learned_certificate();
+  CutCert& cut = shortest_cut(learned_property(certificate));
+  cut.prefix[0] = cut.prefix[0] == 0 ? 1 : 0;
+  const AuditReport report = audit_both(certificate);
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(has_issue(report, "does not start the witness chain")) << report.to_string();
+}
+
+TEST(CertLearningTamperTest, WitnessWithCutInsideThePrefixRejected) {
+  // A forged cut whose prefix runs past the witness's first cut segment:
+  // that part of the witness was encoded as split segments, not as the
+  // prefix's levels.
+  Certificate certificate = learned_certificate();
+  PropertyCert& property = learned_property(certificate);
+  const SchemaCert* witness = nullptr;
+  for (const SchemaCert& entry : property.schemas) {
+    if (!entry.sat && !entry.schema.cut_positions.empty() &&
+        entry.schema.cut_positions[0] < static_cast<int>(entry.schema.unlock_order.size())) {
+      witness = &entry;
+      break;
+    }
+  }
+  ASSERT_NE(witness, nullptr);
+  const std::vector<int>& chain = witness->schema.unlock_order;
+  property.cuts.push_back(
+      {witness->query_index,
+       std::vector<int>(chain.begin(), chain.begin() + witness->schema.cut_positions[0] + 1),
+       witness->schema});
+  const AuditReport report = audit_both(certificate);
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(has_issue(report, "first cut segment lies inside the prefix")) << report.to_string();
+}
+
+TEST(CertLearningTamperTest, CutWithoutAGreenUnsatWitnessRejected) {
+  {  // missing: the witness entry is gone
+    Certificate certificate = learned_certificate();
+    PropertyCert& property = learned_property(certificate);
+    const CutCert cut = shortest_cut(property);
+    const SchemaCert* witness = find_schema(property, cut.query_index, cut.witness);
+    ASSERT_NE(witness, nullptr);
+    property.schemas.erase(property.schemas.begin() + (witness - property.schemas.data()));
+    const AuditReport report = audit_both(certificate);
+    EXPECT_FALSE(report.ok);
+    EXPECT_TRUE(has_issue(report, "the witness is not a covered schema")) << report.to_string();
+  }
+  {  // sat: the witness claims a model instead of a refutation
+    Certificate certificate = learned_certificate();
+    PropertyCert& property = learned_property(certificate);
+    const CutCert cut = shortest_cut(property);
+    SchemaCert* witness = find_schema(property, cut.query_index, cut.witness);
+    ASSERT_NE(witness, nullptr);
+    witness->sat = true;
+    witness->proof = nullptr;
+    witness->model = {{"n", BigInt(4)}};
+    const AuditReport report = audit_both(certificate);
+    EXPECT_FALSE(report.ok);
+    EXPECT_TRUE(has_issue(report, "the witness is a sat schema")) << report.to_string();
+  }
+  {  // non-green: the witness refutation is broken
+    Certificate certificate = learned_certificate();
+    PropertyCert& property = learned_property(certificate);
+    const CutCert cut = shortest_cut(property);
+    SchemaCert* witness = find_schema(property, cut.query_index, cut.witness);
+    ASSERT_NE(witness, nullptr);
+    auto copy = smt::proof::clone(*witness->proof);
+    smt::proof::Node* farkas = first_farkas(*copy);
+    ASSERT_NE(farkas, nullptr);
+    farkas->farkas[0].multiplier = -farkas->farkas[0].multiplier;
+    witness->proof = std::move(copy);
+    const AuditReport report = audit_both(certificate);
+    EXPECT_FALSE(report.ok);
+    EXPECT_TRUE(has_issue(report, "did not audit green")) << report.to_string();
+  }
+}
+
+TEST(CertLearningTamperTest, LemmaHitLeafWithForgedBoundRejected) {
+  // A lemma hit's proof is the pooled Farkas leaf itself, shared by every
+  // schema the lemma refuted; a fresh refutation is a tree of its own (and
+  // a trivially-unsat level cuts its subtree after one schema). So in this
+  // sequential run a leaf several entries share is a replayed lemma.
+  Certificate certificate = learned_certificate();
+  PropertyCert& property = learned_property(certificate);
+  std::map<const smt::proof::Node*, int> uses;
+  for (const SchemaCert& entry : property.schemas) {
+    if (!entry.sat) ++uses[entry.proof.get()];
+  }
+  SchemaCert* hit = nullptr;
+  for (SchemaCert& entry : property.schemas) {
+    if (!entry.sat && uses[entry.proof.get()] > 1 &&
+        entry.proof->kind == smt::proof::NodeKind::kFarkas) {
+      hit = &entry;
+      break;
+    }
+  }
+  ASSERT_NE(hit, nullptr) << "no lemma was replayed twice";
+  auto copy = smt::proof::clone(*hit->proof);
+  for (const auto& term : copy->farkas) {
+    EXPECT_EQ(term.premise.origin, smt::proof::PremiseOrigin::kConstraint);
+  }
+  copy->farkas[0].premise.bound = copy->farkas[0].premise.bound - BigInt(1);
+  hit->proof = std::move(copy);
+  const AuditReport report = audit_both(certificate);
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(has_issue(report, "premise is not among the asserted constraints"))
+      << report.to_string();
+}
+
+TEST(CertLearningTamperTest, RemovedCutUncoversItsSchemas) {
+  Certificate certificate = learned_certificate();
+  PropertyCert& property = learned_property(certificate);
+  CutCert& cut = shortest_cut(property);
+  property.cuts.erase(property.cuts.begin() + (&cut - property.cuts.data()));
+  const AuditReport report = audit_both(certificate);
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(has_issue(report, "schema not covered by any refutation")) << report.to_string();
 }
 
 TEST(CertTamperTest, CertificateTransplantedOntoMutantModelRejected) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <regex>
@@ -32,9 +34,18 @@ ta Echo {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    model_path_ = ::testing::TempDir() + "echo_model.ta";
+    model_path_ = temp_path("echo_model.ta");
     std::ofstream file(model_path_);
     file << kEchoModel;
+  }
+
+  /// A scratch path private to this test *process*: ctest -j runs every
+  /// test (and repeated runs of the same test) concurrently, so a shared
+  /// name would let one process delete or overwrite another's file.
+  static std::string temp_path(const std::string& name) {
+    return ::testing::TempDir() + "cli_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+           std::to_string(::getpid()) + "_" + name;
   }
 
   void TearDown() override { std::remove(model_path_.c_str()); }
@@ -87,6 +98,24 @@ TEST_F(CliTest, CheckFlagValidation) {
   EXPECT_EQ(run({"check", model_path_, "--prop"}), 2);  // flag without value
   EXPECT_EQ(run({"check", model_path_, "--prop", "locA == 0", "--bogus", "1"}), 2);
   EXPECT_EQ(run({"check", "/nonexistent.ta", "--prop", "x >= 1"}), 2);
+}
+
+TEST_F(CliTest, CheckWithoutPropFallsBackToBundledProperties) {
+  // Like hvc serve and hvc submit, with or without --certify.
+  const std::string bv = std::string(HV_REPO_DIR) + "/models/bv_broadcast.ta";
+  EXPECT_EQ(run({"check", bv}), 0);
+  EXPECT_NE(out_.str().find("BV-Just0: holds"), std::string::npos) << out_.str();
+  EXPECT_NE(out_.str().find("BV-Unif1: holds"), std::string::npos) << out_.str();
+  const std::string cert_path = temp_path("bv_cert.json");
+  EXPECT_EQ(run({"check", bv, "--certify", "--cert-out", cert_path}), 0);
+  EXPECT_NE(out_.str().find("BV-Just0: holds"), std::string::npos) << out_.str();
+  EXPECT_EQ(run({"audit", cert_path}), 0);
+  EXPECT_NE(out_.str().find("properties audited:   7"), std::string::npos) << out_.str();
+  std::remove(cert_path.c_str());
+  // A model without a bundled set still needs --prop.
+  EXPECT_EQ(run({"check", model_path_}), 2);
+  EXPECT_NE(err_.str().find("no bundled properties for automaton 'Echo'"), std::string::npos)
+      << err_.str();
 }
 
 TEST_F(CliTest, CheckRejectsMalformedProperty) {
@@ -195,7 +224,7 @@ TEST_F(CliTest, JsonOutputMatchesGoldenSchema) {
 }
 
 TEST_F(CliTest, JournalAndResumeRoundTrip) {
-  const std::string journal = ::testing::TempDir() + "cli_journal.jsonl";
+  const std::string journal = temp_path("cli_journal.jsonl");
   std::remove(journal.c_str());
   const int first = run({"check", model_path_, "--prop", "[](locB == 0) -> [](locD == 0)",
                          "--name", "safe", "--journal", journal});
@@ -241,7 +270,7 @@ TEST_F(CliTest, FaultInjectionEnvDegradesToUnknown) {
 }
 
 TEST_F(CliTest, CertifyEmitsAuditableCertificate) {
-  const std::string cert_path = ::testing::TempDir() + "echo_cert.json";
+  const std::string cert_path = temp_path("echo_cert.json");
   const int code = run({"check", model_path_, "--prop", "[](locB == 0) -> [](locD == 0)",
                         "--name", "safe", "--certify", "--cert-out", cert_path});
   EXPECT_EQ(code, 0);
@@ -276,7 +305,7 @@ TEST_F(CliTest, CertifyEmitsAuditableCertificate) {
 TEST_F(CliTest, AuditValidatesInput) {
   EXPECT_EQ(run({"audit"}), 2);
   EXPECT_EQ(run({"audit", "/nonexistent.cert.json"}), 2);
-  const std::string bad_path = ::testing::TempDir() + "bad_cert.json";
+  const std::string bad_path = temp_path("bad_cert.json");
   {
     std::ofstream file(bad_path);
     file << "{\"format\": \"hv-cert\"";
@@ -287,7 +316,7 @@ TEST_F(CliTest, AuditValidatesInput) {
 }
 
 TEST_F(CliTest, AuditJobsShardsWithIdenticalOutput) {
-  const std::string cert_path = ::testing::TempDir() + "echo_jobs_cert.json";
+  const std::string cert_path = temp_path("echo_jobs_cert.json");
   ASSERT_EQ(run({"check", model_path_, "--prop", "[](locB == 0) -> [](locD == 0)",
                  "--name", "safe", "--certify", "--cert-out", cert_path}),
             0);
@@ -421,7 +450,7 @@ TEST_F(CliTest, PrintRoundTrips) {
   EXPECT_EQ(run({"print", model_path_}), 0);
   const std::string printed = out_.str();
   // The printed form must be parseable again (write it and re-print).
-  const std::string second_path = ::testing::TempDir() + "echo_roundtrip.ta";
+  const std::string second_path = temp_path("echo_roundtrip.ta");
   {
     std::ofstream file(second_path);
     file << printed;

@@ -247,6 +247,112 @@ TEST_P(DifferentialFuzz, LearningOnAndOffAgree) {
   }
 }
 
+/// Certifies one property into a one-component certificate and audits its
+/// wire form.
+cert::AuditReport certify_and_audit(const std::string& text, const spec::Property& property,
+                                    const PropertyResult& result) {
+  cert::Certificate certificate;
+  certificate.components.push_back(
+      cert::make_component_cert(cert::text_model_source(text), {property}, {result}, "ltl"));
+  return cert::audit_certificate(cert::parse_certificate(cert::to_json_text(certificate)));
+}
+
+TEST_P(DifferentialFuzz, CertifiedLearningAgreesWithOracles) {
+  // Certified learning turns lemma hits and subtree cuts into audited
+  // evidence. Three oracles must agree on every verdict: certify with
+  // learning, certify without it (the per-schema certificate), and the
+  // explicit checker at small (n, t, f). Both certificates must audit
+  // green, and so must one from the in-process thread pool, whose cuts
+  // land in a nondeterministic order.
+  std::mt19937_64 rng(GetParam() * 65537 + 11);
+  // Larger and more guarded than the default automata, so that schemas
+  // reach the solver and learning has refutations to reuse.
+  ta::RandomTaOptions shape;
+  shape.min_locations = 5;
+  shape.max_locations = 8;
+  shape.min_rules = 6;
+  shape.max_rules = 12;
+  shape.guard_probability = 0.8;
+  const ta::ThresholdAutomaton generated = ta::random_automaton(shape, GetParam() + 3000);
+  const std::string text = ta::to_text(ta::MultiRoundTa(generated, {}));
+  const ta::ThresholdAutomaton automaton = ta::parse_ta(text).one_round_reduction();
+  const auto v = [&](const char* name) { return *automaton.find_variable(name); };
+  const std::vector<ta::ParamValuation> samples = {
+      {{v("n"), 4}, {v("t"), 1}, {v("f"), 0}},
+      {{v("n"), 4}, {v("t"), 1}, {v("f"), 1}},
+  };
+
+  for (int round = 0; round < 4; ++round) {
+    const std::string formula = random_safety_property(automaton, rng);
+    spec::Property property;
+    try {
+      property = spec::compile(automaton, "oracle" + std::to_string(round), formula);
+    } catch (const hv::InvalidArgument&) {
+      continue;
+    }
+    CheckOptions learning;
+    learning.certify = true;
+    learning.enumeration.max_schemas = 200'000;
+    learning.timeout_seconds = 20.0;
+    // Every other round without the cone, so the solver (and learning)
+    // sees the schemas the cone would have discharged.
+    learning.property_directed_pruning = round % 2 == 0;
+    CheckOptions plain = learning;
+    plain.lemmas = false;
+    CheckOptions threads = learning;
+    threads.workers = 2;
+    const PropertyResult on = check_property(automaton, property, learning);
+    const PropertyResult off = check_property(automaton, property, plain);
+    const PropertyResult pooled = check_property(automaton, property, threads);
+    if (on.verdict == Verdict::kUnknown || off.verdict == Verdict::kUnknown ||
+        pooled.verdict == Verdict::kUnknown) {
+      continue;
+    }
+    const std::string where = "seed=" + std::to_string(GetParam()) + " property=" + formula;
+    EXPECT_EQ(on.verdict, off.verdict) << where;
+    EXPECT_EQ(pooled.verdict, off.verdict) << where;
+
+    const cert::AuditReport on_audit = certify_and_audit(text, property, on);
+    const cert::AuditReport off_audit = certify_and_audit(text, property, off);
+    const cert::AuditReport pooled_audit = certify_and_audit(text, property, pooled);
+    EXPECT_TRUE(on_audit.ok) << where << "\n" << on_audit.to_string();
+    EXPECT_TRUE(off_audit.ok) << where << "\n" << off_audit.to_string();
+    EXPECT_TRUE(pooled_audit.ok) << where << "\n" << pooled_audit.to_string();
+    EXPECT_EQ(off_audit.schemas_cut, 0) << where;
+    if (on.verdict == Verdict::kHolds) {
+      // Both audits re-enumerate the same schema space: what the learning
+      // certificate covers by refutation, manifest or cut, the per-schema
+      // one covers by refutation or manifest.
+      EXPECT_EQ(on_audit.schemas_covered + on_audit.schemas_pruned + on_audit.schemas_cut,
+                off_audit.schemas_covered + off_audit.schemas_pruned)
+          << where;
+    }
+
+    for (const ta::ParamValuation& params : samples) {
+      ExplicitOptions explicit_options;
+      explicit_options.max_states = 500'000;
+      const ExplicitResult explicit_result =
+          check_explicit(automaton, property, params, explicit_options);
+      if (explicit_result.verdict == Verdict::kUnknown) continue;  // state budget
+      // A violation at these parameters refutes "holds"; "violated" may
+      // need other parameters, so only holds is checked here.
+      if (on.verdict == Verdict::kHolds) {
+        EXPECT_EQ(explicit_result.verdict, Verdict::kHolds) << where;
+      }
+    }
+    if (on.verdict == Verdict::kViolated) {
+      ASSERT_TRUE(on.counterexample.has_value()) << where;
+      ExplicitOptions explicit_options;
+      explicit_options.max_states = 500'000;
+      const ExplicitResult confirmed =
+          check_explicit(automaton, property, on.counterexample->params, explicit_options);
+      if (confirmed.verdict != Verdict::kUnknown) {
+        EXPECT_EQ(confirmed.verdict, Verdict::kViolated) << where;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzz, ::testing::Range<std::uint64_t>(1, 26));
 
 }  // namespace

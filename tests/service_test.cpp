@@ -172,15 +172,15 @@ TEST(OptionsFingerprint, FoldsTheLemmaEnvironmentSwitch) {
 }
 
 TEST(OptionsFingerprint, FoldsEffectiveLemmaState) {
-  // Certify mode force-disables learning, so certify+lemmas and
-  // certify+no-lemmas must share an effective lemma key (they differ via
-  // the certify key itself).
+  // Certify mode learns: certify+lemmas emits cut manifests and lemma-hit
+  // proofs, certify+no-lemmas a per-schema certificate, so the two must not
+  // share a cache key.
   checker::CheckOptions certify_lemmas;
   certify_lemmas.certify = true;
   checker::CheckOptions certify_nolemmas = certify_lemmas;
   certify_nolemmas.lemmas = false;
   if (checker::lemmas_enabled(checker::CheckOptions{})) {
-    EXPECT_EQ(checker::options_fingerprint(certify_lemmas),
+    EXPECT_NE(checker::options_fingerprint(certify_lemmas),
               checker::options_fingerprint(certify_nolemmas));
   }
 }
