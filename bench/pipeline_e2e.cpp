@@ -1,4 +1,4 @@
-// End-to-end cost of the DAG-scheduled pipeline vs the sequential one.
+// End-to-end cost of the DAG-scheduled pipeline at 1, 2 and 4 lanes.
 //
 // Three sections, each honest about what it can show on this machine:
 //
@@ -7,14 +7,14 @@
 //              core count, so this isolates *scheduler* concurrency — lane
 //              dispatch, gating, accounting — from solver CPU contention.
 //              Wall-clock must shrink with lanes or the scheduler serializes.
-//   redbelly   the real pipeline (7 bv-broadcast + 9 consensus properties),
-//              sequential and on 1/2/4 DAG lanes, with verdict/schema parity
-//              checked against the sequential reference. Lane speedup here
+//   redbelly   the real pipeline (7 bv-broadcast + 9 consensus properties)
+//              on 1/2/4 DAG lanes, with verdict/schema parity checked
+//              against the 1-lane (sequential) run. Lane speedup here
 //              is CPU-bound: on a single-core container the wall-clock will
 //              NOT improve (concurrent exact-arithmetic solves just share
 //              the core), which is why the JSON records `cores` and the
 //              speedup claim lives in the sleep-bound section above.
-//   audit      certify the sequential run, then audit the certificate with
+//   audit      certify a 1-lane run, then audit the certificate with
 //              1/2/4 jobs; reports Farkas leaves re-verified per second and
 //              checks the sharded reports are byte-identical to --jobs 1.
 //
@@ -107,10 +107,7 @@ int main(int argc, char** argv) {
           : sleep_samples[0].wall_seconds / sleep_samples[1].wall_seconds;
 
   // --- redbelly section ---
-  hv::pipeline::HolisticOptions sequential_options;
-  const hv::pipeline::HolisticReport sequential =
-      hv::pipeline::verify_red_belly_consensus(sequential_options);
-  const std::string reference = report_fingerprint(sequential);
+  std::string reference;  // the 1-lane run's
   std::vector<LaneSample> redbelly_samples;
   bool verdict_parity = true;
   for (const int lanes : kLaneCounts) {
@@ -119,7 +116,11 @@ int main(int argc, char** argv) {
     const hv::pipeline::HolisticReport report =
         hv::pipeline::verify_red_belly_consensus(options);
     redbelly_samples.push_back({lanes, report.total_seconds, report.cpu_seconds});
-    verdict_parity = verdict_parity && report_fingerprint(report) == reference;
+    if (lanes == 1) {
+      reference = report_fingerprint(report);
+    } else {
+      verdict_parity = verdict_parity && report_fingerprint(report) == reference;
+    }
   }
 
   // --- audit section ---
@@ -157,8 +158,7 @@ int main(int argc, char** argv) {
                 sample.wall_seconds, sample.cpu_seconds);
   }
   std::printf("    1->2 lane wall speedup: %.2fx\n", overlap_speedup);
-  std::printf("  redbelly (sequential %.3fs wall; parity %s):\n", sequential.total_seconds,
-              verdict_parity ? "ok" : "BROKEN");
+  std::printf("  redbelly (parity with 1 lane %s):\n", verdict_parity ? "ok" : "BROKEN");
   for (const LaneSample& sample : redbelly_samples) {
     std::printf("    dag %d lane(s): %.3fs wall, %.3fs cpu\n", sample.lanes,
                 sample.wall_seconds, sample.cpu_seconds);
@@ -182,8 +182,7 @@ int main(int argc, char** argv) {
                  sleep_samples[i].cpu_seconds);
   }
   std::fprintf(json, "],\n \"scheduler_overlap_speedup\": %.3f,\n", overlap_speedup);
-  std::fprintf(json, " \"redbelly_sequential_wall_seconds\": %.6f,\n \"redbelly_dag\": [",
-               sequential.total_seconds);
+  std::fprintf(json, " \"redbelly_dag\": [");
   for (std::size_t i = 0; i < redbelly_samples.size(); ++i) {
     std::fprintf(json, "%s{\"lanes\": %d, \"wall_seconds\": %.6f, \"cpu_seconds\": %.6f}",
                  i == 0 ? "" : ", ", redbelly_samples[i].lanes,

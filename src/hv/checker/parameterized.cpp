@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -29,23 +29,14 @@ namespace hv::checker {
 
 namespace {
 
-// Shared state of one property run; workers and the enumerating producer
-// communicate through it.
+// Shared state of one property run; the workers communicate through it.
 struct RunState {
   std::mutex mutex;
-  std::condition_variable work_available;
-  std::condition_variable space_available;
-  std::deque<std::pair<std::size_t, SubtreeTask>> queue;  // (query index, task)
-  bool done_producing = false;
-  // Pool workers still running; a producer must not wait for queue space
-  // once every worker has aborted.
-  int workers_alive = 0;
-
-  std::atomic<bool> stop{false};
+  std::atomic<bool> stop{false};  // no worker claims or visits anything more
   std::atomic<bool> timed_out{false};
   std::atomic<bool> budget_exhausted{false};
   std::atomic<bool> interrupted{false};
-  std::atomic<std::int64_t> schemas_enumerated{0};
+  std::atomic<std::int64_t> schemas_enumerated{0};  // admitted under the budget
   std::atomic<std::int64_t> schemas_checked{0};
   std::atomic<std::int64_t> schemas_pruned{0};
   std::atomic<std::int64_t> schemas_cut{0};
@@ -65,6 +56,7 @@ struct RunState {
 
   // First failure wins; guarded by mutex.
   std::optional<Counterexample> counterexample;
+  std::exception_ptr failure;  // an unexpected exception from a worker
   std::string error_note;    // fatal (stops the run): replay validation only
   std::string degrade_note;  // first schema degraded to unknown
   // Aggregated when workers retire their encoders; guarded by mutex.
@@ -125,8 +117,7 @@ std::string format_seconds(double seconds) {
 // Settles one schema through the shared SchemaSolver retry ladder
 // (schema_solver.h) and applies its outcome to the run: statistics, journal,
 // certificate evidence, counterexample selection. Throws WorkerAbortFault on
-// an injected worker death so the caller's containment (pool: retire the
-// worker; single-thread: end the run) keeps working.
+// an injected worker death so the caller retires that worker.
 void settle_unit(SchemaSolver& solver, const spec::Property& property,
                  std::size_t query_index, const Schema& schema, const std::string& cursor,
                  const CheckOptions& options, const QueryCone* cone, double remaining_seconds,
@@ -230,8 +221,8 @@ void settle_unit(SchemaSolver& solver, const spec::Property& property,
 // its verdict into the statistics and skip the solve. Sat records are
 // re-solved (the counterexample itself is not journaled). Returns true iff
 // the schema was settled here.
-bool try_resume(const spec::Property& property, std::size_t query_index,
-                const std::string& cursor, RunState& state, const RunContext& ctx) {
+bool try_resume(const spec::Property& property, const std::string& cursor, RunState& state,
+                const RunContext& ctx) {
   if (ctx.resume == nullptr) return false;
   const JournalRecord* record = ctx.resume->find(property.name, cursor);
   if (record == nullptr || record->verdict == "sat") return false;
@@ -257,22 +248,7 @@ bool try_resume(const spec::Property& property, std::size_t query_index,
     journal_append(ctx, property.name, cursor, record->verdict.c_str(), record->length,
                    record->pivots, record->note, record->cut);
   }
-  (void)query_index;
   return true;
-}
-
-// Work units for the pool: DFS subtrees of the chain tree, deep enough to
-// give every worker several tasks, shallow enough that one task spans many
-// schemas sharing a chain prefix (what the incremental encoder feeds on).
-std::vector<SubtreeTask> plan_tasks(const GuardAnalysis& analysis, const CheckOptions& options) {
-  std::vector<SubtreeTask> tasks;
-  for (int depth = 1;; ++depth) {
-    tasks = partition_subtrees(analysis, depth, options.enumeration);
-    if (static_cast<int>(tasks.size()) >= options.workers * 4 ||
-        depth >= analysis.guard_count()) {
-      return tasks;
-    }
-  }
 }
 
 }  // namespace
@@ -330,7 +306,6 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
     return options.property_directed_pruning ? &cones[query] : nullptr;
   };
   RunState state;
-  bool budget_exhausted = false;
 
   const auto out_of_time = [&] {
     return options.timeout_seconds > 0.0 && stopwatch.seconds() > options.timeout_seconds;
@@ -374,188 +349,93 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
     }
   }
 
-  if (options.workers <= 1) {
-    // Single-threaded: enumerate and solve inline, one persistent encoder
-    // per query (the enumeration order itself is DFS, so consecutive
-    // schemas share maximal chain prefixes).
-    SchemaSolver solver(analysis, property, options, hooks);
-    for (std::size_t q = 0; q < property.queries.size() && !state.stop.load(); ++q) {
-      const int cut_count = static_cast<int>(property.queries[q].cuts.size());
-      EnumerationOptions enumeration = options.enumeration;
-      enumeration.max_schemas =
-          options.enumeration.max_schemas - state.schemas_checked.load();
-      try {
-        const EnumerationOutcome outcome =
-            enumerate_schemas(analysis, cut_count, enumeration, [&](const Schema& schema) {
-              if (cancelled()) {
-                state.interrupted.store(true);
-                return false;
-              }
-              if (out_of_time()) {
-                state.timed_out.store(true);
-                return false;
-              }
-              state.schemas_enumerated.fetch_add(1);
-              bump(&ProgressCounters::enumerated, ctx);
-              const std::string cursor = need_cursor ? schema_cursor(q, schema) : std::string();
-              if (try_resume(property, q, cursor, state, ctx)) return true;
-              if (learn != nullptr && learn->queries[q].cuts.covers(schema.unlock_order)) {
-                state.schemas_cut.fetch_add(1);
-                bump(&ProgressCounters::cut, ctx);
-                return true;
-              }
-              if (options.property_directed_pruning && !cones[q].schema_feasible(schema)) {
-                state.schemas_pruned.fetch_add(1);
-                bump(&ProgressCounters::pruned, ctx);
-                journal_append(ctx, property.name, cursor, "pruned");
-                if (options.certify) {
-                  std::lock_guard<std::mutex> lock(state.mutex);
-                  state.pruned_schemas.push_back({q, schema});
-                }
-                return true;
-              }
-              settle_unit(solver, property, q, schema, cursor, options, cone_for(q),
-                          remaining_time(), state, ctx, learn);
-              return !state.stop.load();
-            });
-        budget_exhausted = budget_exhausted || outcome.budget_exhausted;
-      } catch (const WorkerAbortFault&) {
-        // Single-threaded: the aborting "worker" is the run itself.
-        state.workers_aborted.fetch_add(1);
-        break;
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      accumulate(state.incremental, solver.stats());
-    }
-  } else {
-    // Producer enumerates chain subtrees into a bounded queue; workers
-    // expand each subtree locally. Handing out subtrees (not single
-    // schemas) keeps a worker's consecutive schemas prefix-related, so its
-    // persistent encoders mostly pop and re-push only the deepest scopes.
-    constexpr std::size_t kQueueLimit = 256;
-    const std::vector<SubtreeTask> tasks = plan_tasks(analysis, options);
-    EnumerationOptions per_task = options.enumeration;
-    // The schema budget is enforced globally (schemas_enumerated below),
-    // not per subtree.
-    per_task.max_schemas = std::numeric_limits<std::int64_t>::max();
+  // The work is a fixed list of (query, subtree) units, numbered in
+  // enumerate_schemas' DFS order (query-major). Each worker claims the next
+  // unit and expands it locally, so its consecutive schemas share chain
+  // prefixes and its persistent encoders mostly pop and re-push only the
+  // deepest scopes; one worker settles every schema in enumeration order.
+  const int workers = std::max(1, options.workers);
+  const std::vector<SubtreeTask> subtrees =
+      plan_subtrees(analysis, workers, options.enumeration);
+  const std::size_t unit_count = property.queries.size() * subtrees.size();
+  std::atomic<std::size_t> next_unit{0};
+  // The schema budget counts admitted schemas across all workers, so it is
+  // stripped from the per-unit enumeration.
+  EnumerationOptions per_unit = options.enumeration;
+  per_unit.max_schemas = std::numeric_limits<std::int64_t>::max();
+  const auto admit = [&] {
+    std::int64_t admitted = state.schemas_enumerated.load();
+    do {
+      if (admitted >= options.enumeration.max_schemas) return false;
+    } while (!state.schemas_enumerated.compare_exchange_weak(admitted, admitted + 1));
+    return true;
+  };
 
-    state.workers_alive = options.workers;
-    std::vector<std::jthread> workers;
-    workers.reserve(static_cast<std::size_t>(options.workers));
-    for (int w = 0; w < options.workers; ++w) {
-      workers.emplace_back([&] {
-        SchemaSolver solver(analysis, property, options, hooks);
-        bool aborted = false;
-        while (!aborted) {
-          std::pair<std::size_t, SubtreeTask> item;
-          {
-            std::unique_lock<std::mutex> lock(state.mutex);
-            state.work_available.wait(lock, [&] {
-              return !state.queue.empty() || state.done_producing || state.stop.load();
-            });
-            if (state.stop.load() || (state.queue.empty() && state.done_producing)) break;
-            item = std::move(state.queue.front());
-            state.queue.pop_front();
-          }
-          state.space_available.notify_one();
-          const std::size_t q = item.first;
-          try {
-            enumerate_schemas_under(
-                analysis, item.second, static_cast<int>(property.queries[q].cuts.size()),
-                per_task, [&](const Schema& schema) {
-                  if (state.stop.load()) return false;
-                  if (cancelled()) {
-                    state.interrupted.store(true);
-                    state.stop.store(true);
-                    return false;
-                  }
-                  if (out_of_time()) {
-                    state.timed_out.store(true);
-                    return false;
-                  }
-                  if (state.schemas_enumerated.fetch_add(1) + 1 >
-                      options.enumeration.max_schemas) {
-                    state.budget_exhausted.store(true);
-                    return false;
-                  }
-                  bump(&ProgressCounters::enumerated, ctx);
-                  const std::string cursor =
-                      need_cursor ? schema_cursor(q, schema) : std::string();
-                  if (try_resume(property, q, cursor, state, ctx)) return true;
-                  if (learn != nullptr &&
-                      learn->queries[q].cuts.covers(schema.unlock_order)) {
-                    state.schemas_cut.fetch_add(1);
-                    bump(&ProgressCounters::cut, ctx);
-                    return true;
-                  }
-                  if (options.property_directed_pruning &&
-                      !cones[q].schema_feasible(schema)) {
-                    state.schemas_pruned.fetch_add(1);
-                    bump(&ProgressCounters::pruned, ctx);
-                    journal_append(ctx, property.name, cursor, "pruned");
-                    if (options.certify) {
-                      std::lock_guard<std::mutex> lock(state.mutex);
-                      state.pruned_schemas.push_back({q, schema});
-                    }
-                    return true;
-                  }
-                  settle_unit(solver, property, q, schema, cursor, options, cone_for(q),
-                              remaining_time(), state, ctx, learn);
-                  return !state.stop.load();
-                });
-          } catch (const WorkerAbortFault&) {
-            // Contained: this worker retires; the rest of the pool (and the
-            // producer) keep the run going.
-            state.workers_aborted.fetch_add(1);
-            aborted = true;
-          }
-          if (state.stop.load()) {
-            state.work_available.notify_all();
-            break;
-          }
-        }
-        {
-          std::lock_guard<std::mutex> lock(state.mutex);
-          accumulate(state.incremental, solver.stats());
-          --state.workers_alive;
-        }
-        // A dead pool must never strand the producer on space_available.
-        state.space_available.notify_all();
-        state.work_available.notify_all();
-      });
+  const auto halt = [&](std::atomic<bool>& reason) {
+    reason.store(true);
+    state.stop.store(true);
+    return false;
+  };
+  // One schema: cancellation, deadline and budget first (each stops the
+  // run), then the resume, cut and cone short-cuts, then the solve. False
+  // ends the unit.
+  const auto visit = [&](SchemaSolver& solver, std::size_t q, const Schema& schema) {
+    if (state.stop.load()) return false;
+    if (cancelled()) return halt(state.interrupted);
+    if (out_of_time()) return halt(state.timed_out);
+    if (!admit()) return halt(state.budget_exhausted);
+    bump(&ProgressCounters::enumerated, ctx);
+    const std::string cursor = need_cursor ? schema_cursor(q, schema) : std::string();
+    if (try_resume(property, cursor, state, ctx)) return true;
+    if (learn != nullptr && learn->queries[q].cuts.covers(schema.unlock_order)) {
+      state.schemas_cut.fetch_add(1);
+      bump(&ProgressCounters::cut, ctx);
+      return true;
     }
-    bool stop_producing = false;
-    for (std::size_t q = 0; q < property.queries.size() && !stop_producing; ++q) {
-      for (const SubtreeTask& task : tasks) {
-        if (state.stop.load() || state.timed_out.load() || state.budget_exhausted.load() ||
-            cancelled() || out_of_time()) {
-          stop_producing = true;
-          break;
-        }
-        std::unique_lock<std::mutex> lock(state.mutex);
-        state.space_available.wait(lock, [&] {
-          return state.queue.size() < kQueueLimit || state.stop.load() ||
-                 state.workers_alive == 0;
-        });
-        if (state.stop.load() || state.workers_alive == 0) {
-          stop_producing = true;
-          break;
-        }
-        state.queue.emplace_back(q, task);
-        lock.unlock();
-        state.work_available.notify_one();
+    if (options.property_directed_pruning && !cones[q].schema_feasible(schema)) {
+      state.schemas_pruned.fetch_add(1);
+      bump(&ProgressCounters::pruned, ctx);
+      journal_append(ctx, property.name, cursor, "pruned");
+      if (options.certify) {
+        std::lock_guard<std::mutex> lock(state.mutex);
+        state.pruned_schemas.push_back({q, schema});
       }
+      return true;
     }
-    {
+    settle_unit(solver, property, q, schema, cursor, options, cone_for(q), remaining_time(),
+                state, ctx, learn);
+    return !state.stop.load();
+  };
+  const auto work = [&] {
+    SchemaSolver solver(analysis, property, options, hooks);
+    try {
+      for (std::size_t unit = next_unit++; unit < unit_count && !state.stop.load();
+           unit = next_unit++) {
+        const std::size_t q = unit / subtrees.size();
+        enumerate_schemas_under(analysis, subtrees[unit % subtrees.size()],
+                                static_cast<int>(property.queries[q].cuts.size()), per_unit,
+                                [&](const Schema& schema) { return visit(solver, q, schema); });
+      }
+    } catch (const WorkerAbortFault&) {
+      // Contained: this worker retires; the others keep claiming units.
+      state.workers_aborted.fetch_add(1);
+    } catch (...) {
+      // Anything else stops the run and reaches the caller once every
+      // worker has joined.
       std::lock_guard<std::mutex> lock(state.mutex);
-      state.done_producing = true;
+      if (!state.failure) state.failure = std::current_exception();
+      state.stop.store(true);
     }
-    state.work_available.notify_all();
-    workers.clear();  // join
-    budget_exhausted = budget_exhausted || state.budget_exhausted.load();
+    std::lock_guard<std::mutex> lock(state.mutex);
+    accumulate(state.incremental, solver.stats());
+  };
+  {
+    // The calling thread is worker 0.
+    std::vector<std::jthread> helpers;
+    for (int w = 1; w < workers; ++w) helpers.emplace_back(work);
+    work();
   }
+  if (state.failure) std::rethrow_exception(state.failure);
   if (cancelled()) state.interrupted.store(true);
   if (journal) journal->flush();
 
@@ -599,7 +479,7 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
   } else if (state.timed_out.load()) {
     result.verdict = Verdict::kUnknown;
     result.note = "timeout (limit " + format_seconds(options.timeout_seconds) + "s)" + progress();
-  } else if (budget_exhausted) {
+  } else if (state.budget_exhausted.load()) {
     result.verdict = Verdict::kUnknown;
     result.note = "schema budget exhausted (" +
                   std::to_string(options.enumeration.max_schemas) + ")" + progress();

@@ -24,7 +24,10 @@ struct CheckOptions {
   EnumerationOptions enumeration;
   /// 0 disables the timeout.
   double timeout_seconds = 0.0;
-  /// Worker threads solving schemas concurrently (ByMC's MPI counterpart).
+  /// Worker threads solving schemas concurrently (ByMC's MPI counterpart),
+  /// clamped to >= 1. The calling thread is worker 0; workers claim DFS
+  /// subtree units in enumeration order, so one worker is the sequential
+  /// checker. The schema budget counts admitted schemas across all workers.
   int workers = 1;
   /// SMT branch-and-bound node budget per schema.
   std::int64_t branch_budget = 1'000'000;

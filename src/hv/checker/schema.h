@@ -84,6 +84,14 @@ struct SubtreeTask {
 std::vector<SubtreeTask> partition_subtrees(const GuardAnalysis& analysis, int depth,
                                             const EnumerationOptions& options);
 
+/// The work units for `consumers` concurrent solvers (the in-process pool's
+/// workers, the coordinator's expected fleet): partition_subtrees at the
+/// shallowest depth giving at least four units per consumer, so the load
+/// balances while one unit still spans many schemas sharing a chain prefix
+/// (what the incremental encoder feeds on).
+std::vector<SubtreeTask> plan_subtrees(const GuardAnalysis& analysis, int consumers,
+                                       const EnumerationOptions& options);
+
 /// Enumerates the schemas of one task, mirroring enumerate_schemas' DFS
 /// order within the subtree. The prefix must be an admissible chain (as
 /// produced by partition_subtrees).

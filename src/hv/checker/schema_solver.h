@@ -1,7 +1,8 @@
 // Per-thread schema solving with the fault-tolerant retry ladder, factored
 // out of the in-process worker pool so that every execution engine — the
-// single-threaded loop, the thread pool, and the distributed worker process
-// (hv/dist) — settles a (query, schema) unit through exactly the same path:
+// thread pool (one worker is the sequential checker), the coordinator's
+// self-solve and the distributed worker process (hv/dist) — settles a
+// (query, schema) unit through exactly the same path:
 //
 //   1. first attempt on the persistent incremental encoder (when enabled),
 //      under the per-schema watchdogs (wall-clock, pivot budget, soft RSS);

@@ -1240,11 +1240,8 @@ bool self_solve_one_lease(Coord& c) {
           const std::string cursor = checker::schema_cursor(q, schema);
           if (cone != nullptr && !cone->schema_feasible(schema)) {
             std::lock_guard<std::mutex> lock(c.mutex);
-            if (apply_record(c, p, q, schema, cursor, "pruned", 0, 0, /*cut=*/-1, 0, 0, 0,
-                             std::string(), /*resumed=*/false, /*journal_this=*/true) &&
-                c.check.certify) {
-              // apply_record already filed the pruned schema for certify.
-            }
+            apply_record(c, p, q, schema, cursor, "pruned", 0, 0, /*cut=*/-1, 0, 0, 0,
+                         std::string(), /*resumed=*/false, /*journal_this=*/true);
             return true;
           }
           {
@@ -1387,16 +1384,12 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
                                  {"lease_timeout", options.lease_timeout_seconds}};
   if (c.learn) c.welcome.set("features", cert::Json::Array{"learn"});
 
-  // Lease planning: the same DFS chain-subtree partition the in-process
-  // pool uses, deep enough that the expected fleet load-balances.
+  // Lease planning: the in-process pool's DFS chain-subtree units, sized
+  // so the expected fleet load-balances.
   const checker::GuardAnalysis analysis(ta);
   c.analysis = &analysis;
-  std::vector<checker::SubtreeTask> tasks;
-  const int want = std::max(1, options.expected_workers) * 4;
-  for (int depth = 1;; ++depth) {
-    tasks = checker::partition_subtrees(analysis, depth, c.check.enumeration);
-    if (static_cast<int>(tasks.size()) >= want || depth >= analysis.guard_count()) break;
-  }
+  const std::vector<checker::SubtreeTask> tasks =
+      checker::plan_subtrees(analysis, options.expected_workers, c.check.enumeration);
   c.props.resize(properties.size());
   for (std::size_t p = 0; p < properties.size(); ++p) {
     for (std::size_t q = 0; q < properties[p].queries.size(); ++q) {

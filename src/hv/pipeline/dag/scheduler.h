@@ -2,8 +2,8 @@
 //
 // Dispatch is deterministic: among ready nodes the lowest NodeId goes
 // first, so a single-lane run executes nodes exactly in insertion order —
-// the sequential pipeline is the lanes=1 special case of the scheduler,
-// not a separate code path to keep in sync.
+// the sequential pipeline is the lanes=1 case of the scheduler, not a
+// separate code path to keep in sync.
 //
 // Cancellation has two sources and one meaning. A *failed* node (run()
 // returned false or threw) cancels its gated transitive dependents without

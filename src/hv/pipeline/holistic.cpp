@@ -39,17 +39,6 @@ const PropertyResult* find(const std::vector<PropertyResult>& results, const cha
   return it == results.end() ? nullptr : &*it;
 }
 
-// Per-stage checker options: each stage checks a different automaton, so it
-// journals (and resumes) its own "<prefix>.<stage>.jsonl" file.
-checker::CheckOptions stage_options(const HolisticOptions& options, const char* stage) {
-  checker::CheckOptions check = options.check;
-  if (options.journal_prefix.empty()) return check;
-  const std::string path = options.journal_prefix + "." + stage + ".jsonl";
-  check.journal_path = path;
-  if (options.resume && std::ifstream(path).good()) check.resume_path = path;
-  return check;
-}
-
 // The naive attempt's budget used to replace the run timeout wholesale — a
 // second watchdog layered over the one the schema solver's retry ladder
 // already owns. Instead it *tightens* the shared CheckOptions deadline:
@@ -64,11 +53,6 @@ void apply_naive_budget(checker::CheckOptions& check, double budget_seconds) {
   }
 }
 
-bool any_interrupted(const std::vector<PropertyResult>& results) {
-  return std::any_of(results.begin(), results.end(),
-                     [](const PropertyResult& r) { return r.interrupted; });
-}
-
 double sum_seconds(const HolisticReport& report) {
   double total = 0.0;
   for (const auto* results :
@@ -77,10 +61,6 @@ double sum_seconds(const HolisticReport& report) {
   }
   return total;
 }
-
-// ---------------------------------------------------------------------------
-// DAG scheduling (dag_workers >= 1).
-// ---------------------------------------------------------------------------
 
 /// 16-hex-digit FNV-1a of the options fingerprint: the node identity stays
 /// readable in journal headers while still pinning every verdict-relevant
@@ -127,7 +107,9 @@ std::string format_eta(const dag::Progress& progress) {
   return os.str();
 }
 
-HolisticReport verify_dag(const HolisticOptions& options) {
+}  // namespace
+
+HolisticReport verify_red_belly_consensus(const HolisticOptions& options) {
   const Stopwatch stopwatch;
   HolisticReport report;
   report.dag_lanes = std::max(1, options.dag_workers);
@@ -144,17 +126,16 @@ HolisticReport verify_dag(const HolisticOptions& options) {
   }
 
   // Results land in pre-allocated slots indexed like the property lists, so
-  // the report (and any certificate emitted from it) is ordered exactly as
-  // the sequential pipeline orders it, whatever the completion order was.
-  // Unfilled slots (cancelled nodes) are compacted away — the sequential
-  // pipeline would not have started those properties either.
+  // the report (and any certificate emitted from it) is ordered like the
+  // property lists at any lane count, whatever the completion order was.
+  // Unfilled slots (cancelled nodes) are compacted away.
   std::vector<std::optional<PropertyResult>> naive_slots(naive_props.size());
   std::vector<std::optional<PropertyResult>> bv_slots(bv_props.size());
   std::vector<std::optional<PropertyResult>> consensus_slots(consensus_props.size());
 
   dag::Graph graph;
   std::vector<dag::NodeId> all_nodes;
-  const auto property_node = [&](const char* stage, const ta::ThresholdAutomaton& automaton,
+  const auto property_node = [&](const ta::ThresholdAutomaton& automaton,
                                  const spec::Property& property,
                                  std::optional<PropertyResult>& slot,
                                  checker::CheckOptions check, std::vector<dag::NodeId> deps,
@@ -181,21 +162,21 @@ HolisticReport verify_dag(const HolisticOptions& options) {
     // Re-stamp the identity: the budget tightened the timeout, and the node
     // key must fingerprint the options the node actually runs under.
     check.journal_node = node_key("naive", naive_props[i].name, check);
-    property_node("naive", *naive, naive_props[i], naive_slots[i], std::move(check), {},
+    property_node(*naive, naive_props[i], naive_slots[i], std::move(check), {},
                   /*ok_needs_holds=*/false);
   }
 
-  // The eight bv-broadcast nodes gate the gadget justification: every
+  // The seven bv-broadcast nodes gate the gadget justification: every
   // consensus node depends on all of them, so one refuted bv property
   // cancels the entire consensus stage before it starts.
   std::vector<dag::NodeId> gadget;
   for (std::size_t i = 0; i < bv_props.size(); ++i) {
-    gadget.push_back(property_node("bv", bv, bv_props[i], bv_slots[i],
+    gadget.push_back(property_node(bv, bv_props[i], bv_slots[i],
                                    dag_node_options(options, "bv", bv_props[i].name), {},
                                    /*ok_needs_holds=*/true));
   }
   for (std::size_t i = 0; i < consensus_props.size(); ++i) {
-    property_node("consensus", consensus, consensus_props[i], consensus_slots[i],
+    property_node(consensus, consensus_props[i], consensus_slots[i],
                   dag_node_options(options, "consensus", consensus_props[i].name), gadget,
                   /*ok_needs_holds=*/true);
   }
@@ -218,7 +199,7 @@ HolisticReport verify_dag(const HolisticOptions& options) {
   };
   // Theorem-6 recomposition is ordering-only: it waits for every node but
   // runs whatever the outcomes were — a partially failed pipeline still
-  // reports its composed (unknown) verdicts, like the sequential one.
+  // reports its composed (unknown) verdicts.
   graph.add(node_key("compose", "theorem6", options.check),
             [&finalize] {
               finalize();
@@ -254,8 +235,6 @@ HolisticReport verify_dag(const HolisticOptions& options) {
   report.cpu_seconds = sum_seconds(report);
   return report;
 }
-
-}  // namespace
 
 bool HolisticReport::fully_verified() const {
   const auto all_hold = [](const std::vector<PropertyResult>& results) {
@@ -296,41 +275,6 @@ void compose_verdicts(HolisticReport& report) {
                                             find(report.consensus_results, "Good_1")}));
 }
 
-HolisticReport verify_red_belly_consensus(const HolisticOptions& options) {
-  if (options.dag_workers >= 1) return verify_dag(options);
-
-  const Stopwatch stopwatch;
-  HolisticReport report;
-
-  if (options.include_naive_attempt) {
-    const ta::ThresholdAutomaton naive = models::naive_consensus_one_round();
-    checker::CheckOptions naive_options = stage_options(options, "naive");
-    apply_naive_budget(naive_options, options.naive_timeout_seconds);
-    report.naive_results =
-        checker::check_properties(naive, models::naive_table2_properties(naive), naive_options);
-  }
-
-  const ta::ThresholdAutomaton bv = models::bv_broadcast();
-  report.bv_results = checker::check_properties(bv, models::bv_properties(bv),
-                                                stage_options(options, "bv"));
-
-  const bool gadget_justified =
-      std::all_of(report.bv_results.begin(), report.bv_results.end(),
-                  [](const PropertyResult& r) { return r.verdict == Verdict::kHolds; });
-  // An interrupted stage already flushed its journal; don't start the next.
-  if (gadget_justified && !any_interrupted(report.naive_results) &&
-      !any_interrupted(report.bv_results)) {
-    const ta::ThresholdAutomaton consensus = models::simplified_consensus_one_round();
-    report.consensus_results = checker::check_properties(
-        consensus, models::simplified_properties(consensus), stage_options(options, "consensus"));
-  }
-
-  compose_verdicts(report);
-  report.total_seconds = stopwatch.seconds();
-  report.cpu_seconds = sum_seconds(report);
-  return report;
-}
-
 std::string HolisticReport::to_string() const {
   std::ostringstream os;
   const auto section = [&os](const char* title, const std::vector<PropertyResult>& results) {
@@ -351,11 +295,9 @@ std::string HolisticReport::to_string() const {
   os << "  Validity:   " << checker::to_string(validity) << "\n";
   os << "  Termination (under Definition 3 fairness): " << checker::to_string(termination)
      << "\n";
-  if (dag_lanes > 0) {
-    os << "dag: " << dag_lanes << " lane(s)";
-    if (nodes_cancelled > 0) os << ", " << nodes_cancelled << " node(s) cancelled";
-    os << "\n";
-  }
+  os << "dag: " << dag_lanes << " lane(s)";
+  if (nodes_cancelled > 0) os << ", " << nodes_cancelled << " node(s) cancelled";
+  os << "\n";
   os << "total time: " << total_seconds << "s wall, " << cpu_seconds << "s cpu\n";
   return os.str();
 }

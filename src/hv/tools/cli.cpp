@@ -133,16 +133,13 @@ constexpr const char* kUsage = R"(usage:
   hvc print <model.ta>
   hvc redbelly [--naive] [--certify] [--cert-out cert.json]
                [--journal prefix] [--resume] [--dag-workers N]
-       (--journal writes one crash-safe journal per stage: <prefix>.naive
-        .jsonl, <prefix>.bv.jsonl, <prefix>.consensus.jsonl; --resume
-        continues from whatever those files already settled.
-        --dag-workers N schedules the pipeline as a property DAG on N
-        concurrent lanes: a refuted bv property cancels the consensus
-        stage before it starts, node progress and a whole-DAG ETA stream
-        to stderr, and --journal switches to one journal per *node*
-        (<prefix>.<stage>.<property>.jsonl) so --resume is per-node.
-        Verdicts, accounting and certificates are identical to the
-        sequential pipeline.)
+       (runs the pipeline as a property DAG on N concurrent lanes, default
+        1: a refuted bv property cancels the consensus stage before it
+        starts, and node progress with a whole-DAG ETA streams to stderr.
+        --journal writes one crash-safe journal per node,
+        <prefix>.<stage>.<property>.jsonl; --resume continues each node
+        from whatever its file already settled. Verdicts, accounting and
+        certificates are identical at any lane count.)
   hvc simulate [--n N] [--t T] [--inputs 0,1,1,0] [--byzantine 3]
                [--scheduler fair|random|fifo] [--seed S] [--max-steps K]
   hvc simulate --lemma7 [--rounds R]
@@ -1126,11 +1123,9 @@ int command_redbelly(Args& args, std::ostream& out, std::ostream& err) {
   options.check.certify = certify;
   options.check.cancel = &g_interrupted;
   options.check.fault = checker::fault_plan_from_env();
-  if (options.dag_workers >= 1) {
-    // Node progress goes to stderr so stdout stays the stable report that
-    // scripts diff against the sequential pipeline.
-    options.on_progress = [&err](const std::string& line) { err << line << "\n"; };
-  }
+  // Node progress goes to stderr so stdout stays the stable report that
+  // scripts diff across lane counts.
+  options.on_progress = [&err](const std::string& line) { err << line << "\n"; };
   const pipeline::HolisticReport report = pipeline::verify_red_belly_consensus(options);
   out << report.to_string();
   if (certify) {

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "hv/checker/explicit_checker.h"
 #include "hv/checker/journal.h"
@@ -313,10 +316,102 @@ TEST(ParameterizedTest, WorkerPoolOnPaperModel) {
     // varies with worker interleaving), but every one of the row's 2116
     // schemas must be accounted for.
     EXPECT_EQ(result.schemas_checked + result.schemas_cut, 2116);
-    if (lemmas_enabled(options)) EXPECT_GT(result.schemas_cut, 0);
+    if (lemmas_enabled(options)) {
+      EXPECT_GT(result.schemas_cut, 0);
+    }
   }
 }
 
+
+TEST(ParameterizedTest, BudgetNoteCountsOnlyAdmittedSchemas) {
+  // The note's "solved X/Y enumerated" counts the schemas the budget
+  // admitted: never more than the budget, and the same at any worker count
+  // (BV-Just0/1 prune every schema, so even the admitted set's split is
+  // fixed).
+  const ta::ThresholdAutomaton bv = hv::models::bv_broadcast();
+  for (const spec::Property& property : hv::models::bv_properties(bv)) {
+    std::string reference;
+    for (const int workers : {1, 3}) {
+      CheckOptions options;
+      options.enumeration.max_schemas = 5;
+      options.workers = workers;
+      const PropertyResult result = check_property(bv, property, options);
+      ASSERT_EQ(result.verdict, Verdict::kUnknown) << property.name;
+      ASSERT_NE(result.note.find("schema budget exhausted (5)"), std::string::npos)
+          << result.note;
+      const std::string progress = result.note.substr(result.note.find("; solved "));
+      long long solved = 0;
+      long long enumerated = 0;
+      ASSERT_EQ(std::sscanf(progress.c_str(), "; solved %lld/%lld", &solved, &enumerated), 2)
+          << result.note;
+      EXPECT_LE(enumerated, 5) << property.name << " at " << workers << " workers";
+      if (property.name != "BV-Just0" && property.name != "BV-Just1") continue;
+      if (workers == 1) {
+        reference = progress;
+      } else {
+        EXPECT_EQ(progress, reference) << property.name;
+      }
+    }
+  }
+}
+
+// Journal cursors in append order (the header line has none).
+std::vector<std::string> journal_cursors(const std::string& path) {
+  std::vector<std::string> cursors;
+  std::ifstream file(path);
+  for (std::string line; std::getline(file, line);) {
+    const std::size_t at = line.find("\"c\":\"");
+    if (at == std::string::npos) continue;
+    const std::size_t begin = at + 5;
+    cursors.push_back(line.substr(begin, line.find('"', begin) - begin));
+  }
+  return cursors;
+}
+
+TEST(ParameterizedTest, OneWorkerSettlesInEnumerationOrder) {
+  // One worker is the sequential checker: it settles every schema in
+  // exactly enumerate_schemas' order, query after query.
+  // A announces before D can fill, so D is never populated while B is
+  // empty; neither side is persistent, so the property has two queries.
+  const auto& ta = echo().body();
+  const spec::Property property =
+      spec::compile(ta, "d_needs_b", "<>(locA != 0) -> [](locD == 0 || locB != 0)");
+  ASSERT_EQ(property.queries.size(), 2u);
+
+  CheckOptions options;
+  options.property_directed_pruning = false;  // every schema is solved
+  options.lemmas = false;                     // and none is cut unjournaled
+  const GuardAnalysis analysis(ta);
+  std::vector<std::string> expected;
+  for (std::size_t q = 0; q < property.queries.size(); ++q) {
+    enumerate_schemas(analysis, static_cast<int>(property.queries[q].cuts.size()),
+                      options.enumeration, [&](const Schema& schema) {
+                        expected.push_back(schema_cursor(q, schema));
+                        return true;
+                      });
+  }
+
+  const std::string path = ::testing::TempDir() + "one_worker_order.jsonl";
+  std::remove(path.c_str());
+  options.journal_path = path;
+  const PropertyResult result = check_property(ta, property, options);
+  ASSERT_EQ(result.verdict, Verdict::kHolds);
+  ASSERT_GT(expected.size(), 4u);
+  EXPECT_EQ(journal_cursors(path), expected);
+
+  // A worker death at one worker ends the run (nobody is left to claim the
+  // remaining units) after settling exactly the schemas before it.
+  std::remove(path.c_str());
+  options.fault.kind = FaultKind::kWorkerAbort;
+  options.fault.at = 3;
+  const PropertyResult aborted = check_property(ta, property, options);
+  EXPECT_EQ(aborted.verdict, Verdict::kUnknown);
+  EXPECT_EQ(aborted.note.rfind("1 worker(s) aborted", 0), 0u) << aborted.note;
+  EXPECT_EQ(aborted.schemas_checked, 3);
+  EXPECT_EQ(journal_cursors(path),
+            std::vector<std::string>(expected.begin(), expected.begin() + 4));
+  std::remove(path.c_str());
+}
 
 // --- incremental vs one-shot differential ----------------------------------
 //
@@ -494,8 +589,8 @@ TEST(RobustnessTest, EveryFaultClassDegradesAndCompletes) {
 }
 
 TEST(RobustnessTest, WorkerAbortIsContainedByThePool) {
-  // Every worker dies on its first solve attempt; the producer must notice
-  // the dead pool instead of waiting forever, and the run must return.
+  // Every worker dies on its first solve attempt; the unclaimed units are
+  // left over, and the run must return.
   const ta::ThresholdAutomaton bv = hv::models::bv_broadcast();
   const spec::Property property = hv::models::bv_properties(bv).front();
   CheckOptions options;

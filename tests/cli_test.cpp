@@ -343,8 +343,9 @@ TEST_F(CliTest, RedbellyDagFlagValidation) {
 
 TEST_F(CliTest, RedbellyDagMatchesSequentialStdout) {
   // The stable report (verdicts, schema counts, composition) must be
-  // byte-identical between schedules; only the timing lines and the DAG
-  // accounting line may differ, and node progress goes to stderr only.
+  // byte-identical between 1 lane (the sequential schedule, the default)
+  // and 2 lanes; only the timing lines and the DAG accounting line may
+  // differ, and node progress goes to stderr only.
   const auto normalize = [](const std::string& text) {
     std::string out;
     for (std::istringstream lines(text); !lines.eof();) {
@@ -359,8 +360,10 @@ TEST_F(CliTest, RedbellyDagMatchesSequentialStdout) {
     return out;
   };
   ASSERT_EQ(run({"redbelly"}), 0);
+  EXPECT_NE(out_.str().find("dag: 1 lane(s)"), std::string::npos);
   const std::string sequential = normalize(out_.str());
-  EXPECT_TRUE(err_.str().empty());
+  EXPECT_NE(err_.str().find("[dag "), std::string::npos);  // progress on stderr at 1 lane
+  EXPECT_EQ(sequential.find("[dag "), std::string::npos);
   ASSERT_EQ(run({"redbelly", "--dag-workers", "2"}), 0);
   EXPECT_EQ(normalize(out_.str()), sequential);
   EXPECT_NE(err_.str().find("[dag "), std::string::npos);  // progress on stderr

@@ -174,6 +174,7 @@ TEST(ComposeVerdictsTest, RacedConsensusArrivalsCannotOutrunGadgetFailure) {
 // --- DAG pipeline end-to-end parity -------------------------------------------
 
 TEST(HolisticDagTest, DagRunMatchesSequentialPipeline) {
+  // The sequential pipeline is the DAG on one lane (the default).
   HolisticOptions sequential;
   sequential.include_naive_attempt = true;
   sequential.naive_timeout_seconds = 0.3;  // Table 2's negative result, shrunk
@@ -183,6 +184,7 @@ TEST(HolisticDagTest, DagRunMatchesSequentialPipeline) {
   dag.dag_workers = 2;
   const HolisticReport par = verify_red_belly_consensus(dag);
 
+  EXPECT_EQ(seq.dag_lanes, 1);
   EXPECT_EQ(par.dag_lanes, 2);
   EXPECT_EQ(seq.agreement, par.agreement);
   EXPECT_EQ(seq.validity, par.validity);
@@ -202,8 +204,8 @@ TEST(HolisticDagTest, DagRunMatchesSequentialPipeline) {
   match(seq.consensus_results, par.consensus_results);
   ASSERT_EQ(seq.naive_results.size(), par.naive_results.size());
   for (std::size_t i = 0; i < seq.naive_results.size(); ++i) {
-    // The naive attempt's budget now flows through the shared timeout path
-    // in both pipelines; a budget that small is exhausted in both.
+    // The naive attempt's budget flows through the shared timeout path at
+    // any lane count; a budget that small is exhausted in both runs.
     EXPECT_EQ(seq.naive_results[i].verdict, par.naive_results[i].verdict);
   }
   EXPECT_GT(par.cpu_seconds, 0.0);
