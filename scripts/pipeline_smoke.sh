@@ -20,10 +20,13 @@ work="$(mktemp -d)"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
 
 # Strip what legitimately differs between schedules: per-property solve
-# times, the total-time line and the DAG accounting line. Verdicts, schema
-# counts and composed verdicts must match byte for byte.
+# times, the search counters (schemas settled from a resume journal
+# contribute no decisions), the total-time line and the DAG accounting
+# line. Verdicts, schema counts and composed verdicts must match byte for
+# byte.
 normalize_report() {
-  sed -E -e '/^total time:/d' -e '/^dag:/d' -e 's/, [0-9.eE+-]+s\)$/)/' "$1"
+  sed -E -e '/^total time:/d' -e '/^dag:/d' -e 's/, [0-9.eE+-]+s\)$/)/' \
+    -e 's/, [0-9]+ decisions, [0-9]+ backjumps//' "$1"
 }
 
 echo "== 1-lane (sequential) reference"

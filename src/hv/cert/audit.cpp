@@ -1176,6 +1176,14 @@ AuditReport audit_certificate(const Certificate& certificate, const AuditOptions
   return audit_sharded(certificate, options.jobs);
 }
 
+AuditReport audit_refutation(const smt::proof::Trace& trace, const smt::proof::Node& proof) {
+  AuditReport report;
+  SchemaAuditor auditor(trace, report, "refutation");
+  auditor.audit_proof(proof);
+  report.ok = report.issues.empty();
+  return report;
+}
+
 std::string AuditReport::to_string() const {
   std::ostringstream os;
   os << (ok ? "audit: PASS" : "audit: FAIL") << "\n";

@@ -95,6 +95,11 @@ struct AuditOptions {
 AuditReport audit_certificate(const Certificate& certificate);
 AuditReport audit_certificate(const Certificate& certificate, const AuditOptions& options);
 
+/// Audits one refutation against the assertion trace it claims to refute
+/// (a trace-mode smt::Solver's snapshot_trace()): the check every covered
+/// unsat schema of a certificate gets, without the schema-space layer.
+AuditReport audit_refutation(const smt::proof::Trace& trace, const smt::proof::Node& proof);
+
 }  // namespace hv::cert
 
 #endif  // HV_CERT_AUDIT_H

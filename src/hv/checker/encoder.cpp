@@ -70,6 +70,8 @@ class IncrementalSchemaEncoder::Impl {
     const std::int64_t big_before = solver_.rational_big_ops();
     const std::int64_t hits_before = solver_.stats().lemma_hits;
     const std::int64_t learned_before = solver_.stats().lemmas_learned;
+    const std::int64_t decisions_before = solver_.stats().decisions;
+    const std::int64_t backjumps_before = solver_.stats().backjumps;
     const std::size_t steps_mark = encode_schema(schema);
 
     EncodeResult result;
@@ -105,6 +107,8 @@ class IncrementalSchemaEncoder::Impl {
     result.rational_big_ops = solver_.rational_big_ops() - big_before;
     result.lemma_hits = solver_.stats().lemma_hits - hits_before;
     result.lemmas_learned = solver_.stats().lemmas_learned - learned_before;
+    result.decisions = solver_.stats().decisions - decisions_before;
+    result.backjumps = solver_.stats().backjumps - backjumps_before;
     return result;
   }
 

@@ -60,6 +60,9 @@ struct EncodeResult {
   /// pivots).
   std::int64_t lemma_hits = 0;
   std::int64_t lemmas_learned = 0;
+  /// DPLL decisions and backjumps on this schema (differenced like pivots).
+  std::int64_t decisions = 0;
+  std::int64_t backjumps = 0;
   /// Certificate payloads, filled in EncoderMode::kCertify only.
   std::shared_ptr<const smt::proof::Node> proof;  // iff !sat
   std::shared_ptr<const std::vector<std::pair<std::string, BigInt>>> model_values;  // iff sat

@@ -42,6 +42,8 @@ struct RunState {
   std::atomic<std::int64_t> schemas_cut{0};
   std::atomic<std::int64_t> lemma_hits{0};
   std::atomic<std::int64_t> lemmas_learned{0};
+  std::atomic<std::int64_t> decisions{0};
+  std::atomic<std::int64_t> backjumps{0};
   std::atomic<std::int64_t> schemas_unknown{0};
   std::atomic<std::int64_t> schemas_resumed{0};
   std::atomic<std::int64_t> retries{0};
@@ -126,6 +128,8 @@ void settle_unit(SchemaSolver& solver, const spec::Property& property,
   if (outcome.retries > 0) state.retries.fetch_add(outcome.retries);
   state.lemma_hits.fetch_add(outcome.lemma_hits);
   state.lemmas_learned.fetch_add(outcome.lemmas_learned);
+  state.decisions.fetch_add(outcome.decisions);
+  state.backjumps.fetch_add(outcome.backjumps);
   switch (outcome.kind) {
     case UnitOutcome::Kind::kAborted: {
       state.schemas_unknown.fetch_add(1);
@@ -444,6 +448,8 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
   result.schemas_cut = state.schemas_cut.load();
   result.lemma_hits = state.lemma_hits.load();
   result.lemmas_learned = state.lemmas_learned.load();
+  result.decisions = state.decisions.load();
+  result.backjumps = state.backjumps.load();
   result.schemas_unknown = state.schemas_unknown.load();
   result.schemas_resumed = state.schemas_resumed.load();
   result.retries = state.retries.load();

@@ -179,6 +179,12 @@ struct PropertyResult {
   /// journaled), so a resumed run under-reports totals, never mis-splits.
   std::int64_t rational_fast_ops = 0;
   std::int64_t rational_big_ops = 0;
+  /// DPLL search effort: decisions (one per explored branch) and backjumps
+  /// (decisions closed by their first branch's refutation, which never read
+  /// the decided atom). Counted like the op split; fleet runs (--workers,
+  /// daemon job workers) report 0, because worker records do not carry them.
+  std::int64_t decisions = 0;
+  std::int64_t backjumps = 0;
   /// Byzantine-defense accounting of the distributed coordinator
   /// (dist/coordinator.h): worker-reported verdicts it re-solved in-process,
   /// and how many of those disagreed (each disagreement bans the worker and

@@ -164,6 +164,8 @@ UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
   outcome.rational_big_ops = result.rational_big_ops;
   outcome.lemma_hits = result.lemma_hits;
   outcome.lemmas_learned = result.lemmas_learned;
+  outcome.decisions = result.decisions;
+  outcome.backjumps = result.backjumps;
   outcome.proof = result.proof;
   outcome.model = result.model_values;
   if (!result.sat) {

@@ -67,6 +67,9 @@ struct UnitOutcome {
   /// Lemma-pool activity while settling this unit (learning mode).
   std::int64_t lemma_hits = 0;
   std::int64_t lemmas_learned = 0;
+  /// DPLL decisions and backjumps while settling this unit.
+  std::int64_t decisions = 0;
+  std::int64_t backjumps = 0;
   /// Certify mode: proof tree (kUnsat) / named integer model (kSat).
   std::shared_ptr<const smt::proof::Node> proof;
   std::shared_ptr<const std::vector<std::pair<std::string, BigInt>>> model;

@@ -68,11 +68,6 @@ RunStats run(Graph& graph, const RunOptions& options) {
     p.failed = stats.nodes_failed;
     p.cancelled = stats.nodes_cancelled;
     p.elapsed_seconds = stopwatch.seconds();
-    if (p.settled > 0 && p.settled < total) {
-      p.eta_seconds = p.elapsed_seconds / p.settled * (total - p.settled);
-    } else if (p.settled == total) {
-      p.eta_seconds = 0.0;
-    }
     return p;
   };
 

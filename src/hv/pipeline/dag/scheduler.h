@@ -30,9 +30,6 @@ struct Progress {
   int failed = 0;
   int cancelled = 0;
   double elapsed_seconds = 0.0;
-  /// Whole-DAG estimate: elapsed / settled * unsettled. Negative until the
-  /// first node settles (no basis for an estimate yet).
-  double eta_seconds = -1.0;
 };
 
 enum class Event {

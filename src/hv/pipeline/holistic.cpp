@@ -100,13 +100,6 @@ checker::CheckOptions dag_node_options(const HolisticOptions& options, const cha
   return check;
 }
 
-std::string format_eta(const dag::Progress& progress) {
-  if (progress.eta_seconds < 0.0) return "";
-  std::ostringstream os;
-  os << ", eta " << progress.eta_seconds << "s";
-  return os.str();
-}
-
 }  // namespace
 
 HolisticReport verify_red_belly_consensus(const HolisticOptions& options) {
@@ -221,7 +214,6 @@ HolisticReport verify_red_belly_consensus(const HolisticOptions& options) {
         os << ": " << dag::to_string(node.status);
         if (node.status != dag::NodeStatus::kCancelled) os << " (" << node.seconds << "s)";
       }
-      os << format_eta(progress);
       options.on_progress(os.str());
     };
   }
@@ -282,7 +274,8 @@ std::string HolisticReport::to_string() const {
     os << title << "\n";
     for (const PropertyResult& result : results) {
       os << "  " << result.property << ": " << checker::to_string(result.verdict) << " ("
-         << result.schemas_checked << " schemas, " << result.seconds << "s)";
+         << result.schemas_checked << " schemas, " << result.decisions << " decisions, "
+         << result.backjumps << " backjumps, " << result.seconds << "s)";
       if (!result.note.empty()) os << " [" << result.note << "]";
       os << "\n";
     }

@@ -56,7 +56,7 @@ struct HolisticOptions {
   /// certificates are identical at any lane count.
   int dag_workers = 1;
   /// DAG progress sink: one line per node start/settle, with aggregate
-  /// counts and a whole-DAG ETA. May be called from any scheduler lane
+  /// counts. May be called from any scheduler lane
   /// (serialized by the scheduler lock); null disables.
   std::function<void(const std::string& line)> on_progress;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <iterator>
 #include <utility>
 
 #include "hv/util/error.h"
@@ -41,7 +42,7 @@ VarId Solver::new_variable(std::string name) {
   const int var = simplex_.add_variable();
   HV_REQUIRE(var == static_cast<int>(names_.size()));
   names_.push_back(std::move(name));
-  if (certify_ || learn_) slack_defs_.emplace_back();
+  if (tagging()) slack_defs_.emplace_back();
   return var;
 }
 
@@ -53,7 +54,7 @@ void Solver::add_lower_bound(VarId var, const BigInt& bound) {
     return;
   }
   int tag = -1;
-  if (certify_ || learn_) {
+  if (tagging()) {
     tag = record_premise(proof::PremiseOrigin::kConstraint, -1, true, var, Relation::kGe, bound);
   }
   if (!simplex_.assert_lower(var, Rational(bound), tag)) {
@@ -70,7 +71,7 @@ void Solver::add_upper_bound(VarId var, const BigInt& bound) {
     return;
   }
   int tag = -1;
-  if (certify_ || learn_) {
+  if (tagging()) {
     tag = record_premise(proof::PremiseOrigin::kConstraint, -1, true, var, Relation::kLe, bound);
   }
   if (!simplex_.assert_upper(var, Rational(bound), tag)) {
@@ -117,7 +118,7 @@ int Solver::slack_for(const std::vector<std::pair<int, BigInt>>& terms) {
   if (it != slack_pool_.end()) return it->second;
   const int slack = simplex_.add_row(terms);
   names_.push_back("slack#" + std::to_string(slack));
-  if (certify_ || learn_) slack_defs_.push_back(terms);
+  if (tagging()) slack_defs_.push_back(terms);
   slack_pool_.emplace(key, slack);
   // The slack's row dies with the current scope; the pool entry must die
   // with it, or a later scope would alias a recycled variable index.
@@ -166,7 +167,7 @@ void Solver::pop() {
   premises_.resize(scope.premise_count);
   traced_constraints_.resize(scope.trace_constraint_count);
   traced_constraint_depths_.resize(scope.trace_constraint_count);
-  if (certify_ || learn_) slack_defs_.resize(scope.name_count);
+  if (tagging()) slack_defs_.resize(scope.name_count);
   trivially_unsat_ = scope.trivially_unsat;
   trivial_depth_ = scope.trivial_depth;
   trivial_proof_ = scope.trivial_proof;
@@ -408,24 +409,63 @@ std::unique_ptr<proof::Node> Solver::constant_false_node(int atom, bool positive
   return node;
 }
 
-std::unique_ptr<proof::Node> Solver::take_pending_conflict() {
-  HV_REQUIRE(pending_conflict_ != nullptr);
-  return std::move(pending_conflict_);
+namespace {
+
+void insert_atom(std::vector<int>& atoms, int atom) {
+  const auto pos = std::lower_bound(atoms.begin(), atoms.end(), atom);
+  if (pos == atoms.end() || *pos != atom) atoms.insert(pos, atom);
 }
 
-std::unique_ptr<proof::Node> Solver::wrap_propagations(
-    std::vector<std::pair<int, Literal>>& props, std::unique_ptr<proof::Node> leaf) {
-  std::unique_ptr<proof::Node> node = std::move(leaf);
-  for (auto it = props.rbegin(); it != props.rend(); ++it) {
-    auto wrapper = std::make_unique<proof::Node>();
-    wrapper->kind = proof::NodeKind::kPropagation;
-    wrapper->clause = it->first;
-    wrapper->atom = it->second.atom;
-    wrapper->positive = it->second.positive;
-    wrapper->first = std::move(node);
-    node = std::move(wrapper);
+bool reads(const std::vector<int>& atoms, int atom) {
+  return std::binary_search(atoms.begin(), atoms.end(), atom);
+}
+
+}  // namespace
+
+Solver::Refutation Solver::simplex_refutation() {
+  Refutation refutation;
+  if (!tagging()) return refutation;
+  if (learn_) note_simplex_conflict();
+  if (certify_) refutation.proof = farkas_from_conflict();
+  for (const auto& [tag, multiplier] : simplex_.last_conflict()) {
+    const PremiseRec& rec = premises_[tag];
+    if (rec.origin == proof::PremiseOrigin::kAtom) insert_atom(refutation.atoms, rec.atom);
   }
-  return node;
+  return refutation;
+}
+
+Solver::Refutation Solver::clause_refutation(int clause) const {
+  Refutation refutation;
+  if (certify_) {
+    refutation.proof = std::make_unique<proof::Node>();
+    refutation.proof->kind = proof::NodeKind::kClauseConflict;
+    refutation.proof->clause = clause;
+  }
+  for (const Literal& literal : clauses_[clause]) insert_atom(refutation.atoms, literal.atom);
+  return refutation;
+}
+
+void Solver::lift(const std::vector<std::pair<int, Literal>>& props,
+                  Refutation& refutation) const {
+  for (auto it = props.rbegin(); it != props.rend(); ++it) {
+    const auto& [clause, forced] = *it;
+    std::vector<int>& atoms = refutation.atoms;
+    const auto pos = std::lower_bound(atoms.begin(), atoms.end(), forced.atom);
+    if (pos == atoms.end() || *pos != forced.atom) continue;
+    atoms.erase(pos);
+    for (const Literal& literal : clauses_[clause]) {
+      if (literal.atom != forced.atom) insert_atom(atoms, literal.atom);
+    }
+    if (certify_) {
+      auto wrapper = std::make_unique<proof::Node>();
+      wrapper->kind = proof::NodeKind::kPropagation;
+      wrapper->clause = clause;
+      wrapper->atom = forced.atom;
+      wrapper->positive = forced.positive;
+      wrapper->first = std::move(refutation.proof);
+      refutation.proof = std::move(wrapper);
+    }
+  }
 }
 
 bool Solver::assert_atom(const NormalizedAtom& atom, bool positive,
@@ -433,7 +473,7 @@ bool Solver::assert_atom(const NormalizedAtom& atom, bool positive,
   HV_REQUIRE(!atom.constant);
   const Rational bound{atom.bound};
   const auto tag = [&](Relation rel, BigInt premise_bound) {
-    return certify_ || learn_
+    return tagging()
                ? record_premise(origin, atom_index, positive, atom.var, rel,
                                 std::move(premise_bound))
                : -1;
@@ -466,7 +506,7 @@ CheckResult Solver::check() {
   // solver-level check.
   simplex_.set_pivot_limit(pivot_budget_ > 0 ? simplex_.stats().pivots + pivot_budget_ : 0);
   last_proof_.reset();
-  pending_conflict_.reset();
+  pending_conflict_ = {};
   conflict_scope_depth_ = 0;
   if (trivially_unsat_) {
     if (certify_) {
@@ -505,15 +545,15 @@ CheckResult Solver::check() {
   // are resolved into proof nodes eagerly, so the table rolls back once the
   // search is over.
   const std::size_t premise_mark = premises_.size();
-  std::unique_ptr<proof::Node> root;
-  const CheckResult result = search(certify_ ? &root : nullptr);
-  if (certify_ || learn_) {
+  Refutation root;
+  const CheckResult result = search(tagging() ? &root : nullptr);
+  if (tagging()) {
     // Search-time premises are kAtom/kBranch only, so the learning-mode
     // signature index (kConstraint premises) is unaffected by the rollback.
     premises_.resize(premise_mark);
     if (certify_ && result == CheckResult::kUnsat) {
-      HV_REQUIRE(root != nullptr);
-      last_proof_ = std::move(root);
+      HV_REQUIRE(root.proof != nullptr);
+      last_proof_ = std::move(root.proof);
     }
   }
   return result;
@@ -526,7 +566,9 @@ bool Solver::set_atom(int atom, bool value) {
   const NormalizedAtom& normalized = atoms_[atom];
   if (normalized.constant) {
     if (normalized.constant_value == value) return true;
-    if (certify_) pending_conflict_ = constant_false_node(atom, value);
+    if (tagging()) {
+      pending_conflict_ = {certify_ ? constant_false_node(atom, value) : nullptr, {atom}};
+    }
     return false;
   }
   if (!value && !normalized.negatable) {
@@ -537,8 +579,7 @@ bool Solver::set_atom(int atom, bool value) {
     return true;
   }
   if (assert_atom(normalized, value, proof::PremiseOrigin::kAtom, atom)) return true;
-  if (certify_) pending_conflict_ = farkas_from_conflict();
-  if (learn_) note_simplex_conflict();
+  pending_conflict_ = simplex_refutation();
   return false;
 }
 
@@ -576,28 +617,22 @@ int Solver::propagate_and_select(std::vector<std::pair<int, Literal>>* props) {
       }
       if (satisfied) continue;
       if (unassigned_count == 0) {
-        if (certify_) {
-          auto node = std::make_unique<proof::Node>();
-          node->kind = proof::NodeKind::kClauseConflict;
-          node->clause = c;
-          pending_conflict_ = std::move(node);
-        }
         if (learn_) note_clause_depth(c);
+        if (tagging()) pending_conflict_ = clause_refutation(c);
         return -2;  // conflict
       }
       if (unassigned_count == 1) {
         ++stats_.propagations;
         // Record the forced literal before asserting it, so a conflict
         // inside set_atom still sits below its propagation in the proof.
-        if (certify_ && props != nullptr) props->emplace_back(c, *unit);
+        if (props != nullptr) props->emplace_back(c, *unit);
         // The refutation below may lean on this forced literal, and the
         // forcing cites the clause — fold its depth in now.
         if (learn_) note_clause_depth(c);
         if (!set_atom(unit->atom, unit->positive)) return -2;
         ++stats_.simplex_checks;
         if (!simplex_.check()) {
-          if (certify_) pending_conflict_ = farkas_from_conflict();
-          if (learn_) note_simplex_conflict();
+          pending_conflict_ = simplex_refutation();
           return -2;
         }
         propagated = true;
@@ -609,70 +644,61 @@ int Solver::propagate_and_select(std::vector<std::pair<int, Literal>>* props) {
   }
 }
 
-CheckResult Solver::search(std::unique_ptr<proof::Node>* out) {
+CheckResult Solver::search(Refutation* out) {
   simplex_.push();
   std::vector<signed char> saved_assignment = assignment_;
-  const auto restore = [&] {
+  std::vector<std::pair<int, Literal>> props;
+  // Leaves the level: its refutation goes up lifted through the level's
+  // propagations.
+  const auto refute = [&](Refutation refutation) {
     simplex_.pop();
-    assignment_ = saved_assignment;
+    assignment_ = std::move(saved_assignment);
+    if (out != nullptr) {
+      lift(props, refutation);
+      *out = std::move(refutation);
+    }
+    return CheckResult::kUnsat;
   };
 
-  std::vector<std::pair<int, Literal>> props;
-  const int clause_index = propagate_and_select(&props);
-  if (clause_index == -2) {
-    if (certify_) *out = wrap_propagations(props, take_pending_conflict());
-    restore();
-    return CheckResult::kUnsat;
-  }
+  const int clause_index = propagate_and_select(out != nullptr ? &props : nullptr);
+  if (clause_index == -2) return refute(std::move(pending_conflict_));
   if (clause_index == -1) {
     ++stats_.simplex_checks;
-    if (!simplex_.check()) {
-      if (certify_) *out = wrap_propagations(props, farkas_from_conflict());
-      if (learn_) note_simplex_conflict();
-      restore();
-      return CheckResult::kUnsat;
-    }
-    std::unique_ptr<proof::Node> integer_proof;
-    if (branch_and_bound(0, certify_ ? &integer_proof : nullptr)) {
+    if (!simplex_.check()) return refute(simplex_refutation());
+    Refutation integer;
+    if (branch_and_bound(0, out != nullptr ? &integer : nullptr)) {
       // Keep the state: the model was captured by branch_and_bound.
       simplex_.pop();
       assignment_ = std::move(saved_assignment);
       return CheckResult::kSat;
     }
-    if (certify_) *out = wrap_propagations(props, std::move(integer_proof));
-    restore();
-    return CheckResult::kUnsat;
+    return refute(std::move(integer));
   }
 
   // Branch on the first unassigned literal of the selected clause: try it
-  // true, then false (both sides explored; the clause is re-examined after).
-  const auto clause = clauses_[clause_index];  // copy: clauses_ stable anyway
+  // true, then false (the clause is re-examined after).
   int pick = -1;
-  for (const Literal& literal : clause) {
+  for (const Literal& literal : clauses_[clause_index]) {
     if (assignment_[literal.atom] == -1) {
       pick = literal.atom;
       break;
     }
   }
   HV_REQUIRE(pick != -1);
-  std::unique_ptr<proof::Node> true_proof;
-  std::unique_ptr<proof::Node> false_proof;
-  for (const bool value : {true, false}) {
+  Refutation refuted[2];  // true branch, false branch
+  int closing = -1;       // the branch whose refutation alone closes the decision
+  for (const int side : {0, 1}) {
     enforce_deadline();
     ++stats_.decisions;
     simplex_.push();
     std::vector<signed char> snapshot = assignment_;
-    std::unique_ptr<proof::Node>* child =
-        certify_ ? (value ? &true_proof : &false_proof) : nullptr;
-    bool feasible = set_atom(pick, value);
-    if (!feasible && certify_) *child = take_pending_conflict();
+    Refutation* child = out != nullptr ? &refuted[side] : nullptr;
+    bool feasible = set_atom(pick, side == 0);
+    if (!feasible && child != nullptr) *child = std::move(pending_conflict_);
     if (feasible) {
       ++stats_.simplex_checks;
       feasible = simplex_.check();
-      if (!feasible) {
-        if (certify_) *child = farkas_from_conflict();
-        if (learn_) note_simplex_conflict();
-      }
+      if (!feasible && child != nullptr) *child = simplex_refutation();
     }
     if (feasible && search(child) == CheckResult::kSat) {
       simplex_.pop();
@@ -683,20 +709,31 @@ CheckResult Solver::search(std::unique_ptr<proof::Node>* out) {
     }
     simplex_.pop();
     assignment_ = std::move(snapshot);
+    // Refuted without reading the decided atom: the refutation holds under
+    // either polarity, so the other branch need not be explored.
+    if (child != nullptr && !reads(child->atoms, pick)) {
+      closing = side;
+      break;
+    }
   }
+  if (out == nullptr) return refute({});
+  if (closing == 0) ++stats_.backjumps;
+  if (closing >= 0) return refute(std::move(refuted[closing]));
+  Refutation refutation;
+  std::set_union(refuted[0].atoms.begin(), refuted[0].atoms.end(), refuted[1].atoms.begin(),
+                 refuted[1].atoms.end(), std::back_inserter(refutation.atoms));
+  refutation.atoms.erase(std::lower_bound(refutation.atoms.begin(), refutation.atoms.end(), pick));
   if (certify_) {
-    auto node = std::make_unique<proof::Node>();
-    node->kind = proof::NodeKind::kDecision;
-    node->atom = pick;
-    node->first = std::move(true_proof);
-    node->second = std::move(false_proof);
-    *out = wrap_propagations(props, std::move(node));
+    refutation.proof = std::make_unique<proof::Node>();
+    refutation.proof->kind = proof::NodeKind::kDecision;
+    refutation.proof->atom = pick;
+    refutation.proof->first = std::move(refuted[0].proof);
+    refutation.proof->second = std::move(refuted[1].proof);
   }
-  restore();
-  return CheckResult::kUnsat;
+  return refute(std::move(refutation));
 }
 
-bool Solver::branch_and_bound(int depth, std::unique_ptr<proof::Node>* out) {
+bool Solver::branch_and_bound(int depth, Refutation* out) {
   enforce_deadline();
   ++stats_.branch_nodes;
   if (++branch_nodes_used_ > branch_budget_) {
@@ -717,31 +754,24 @@ bool Solver::branch_and_bound(int depth, std::unique_ptr<proof::Node>* out) {
   }
   const Rational value = simplex_.value(fractional);
   const BigInt floor = value.floor();
-  std::unique_ptr<proof::Node> low_proof;
-  std::unique_ptr<proof::Node> high_proof;
-  for (const bool low_side : {true, false}) {
+  Refutation refuted[2];  // low side, high side
+  for (const int side : {0, 1}) {
+    const bool low_side = side == 0;
     simplex_.push();
     int tag = -1;
-    if (certify_ || learn_) {
+    if (tagging()) {
       tag = record_premise(proof::PremiseOrigin::kBranch, -1, true, fractional,
                            low_side ? Relation::kLe : Relation::kGe,
                            low_side ? floor : floor + BigInt(1));
     }
-    std::unique_ptr<proof::Node>* child =
-        certify_ ? (low_side ? &low_proof : &high_proof) : nullptr;
+    Refutation* child = out != nullptr ? &refuted[side] : nullptr;
     bool ok = low_side ? simplex_.assert_upper(fractional, Rational(floor), tag)
                        : simplex_.assert_lower(fractional, Rational(floor + 1), tag);
-    if (!ok) {
-      if (certify_) *child = farkas_from_conflict();
-      if (learn_) note_simplex_conflict();
-    }
+    if (!ok && child != nullptr) *child = simplex_refutation();
     ++stats_.simplex_checks;
     if (ok) {
       ok = simplex_.check();
-      if (!ok) {
-        if (certify_) *child = farkas_from_conflict();
-        if (learn_) note_simplex_conflict();
-      }
+      if (!ok && child != nullptr) *child = simplex_refutation();
     }
     if (ok && branch_and_bound(depth + 1, child)) {
       simplex_.pop();
@@ -749,14 +779,17 @@ bool Solver::branch_and_bound(int depth, std::unique_ptr<proof::Node>* out) {
     }
     simplex_.pop();
   }
-  if (certify_) {
-    auto node = std::make_unique<proof::Node>();
-    node->kind = proof::NodeKind::kBranch;
-    node->branch_terms = named_terms_for(fractional);
-    node->branch_bound = floor;
-    node->first = std::move(low_proof);
-    node->second = std::move(high_proof);
-    *out = std::move(node);
+  if (out != nullptr) {
+    std::set_union(refuted[0].atoms.begin(), refuted[0].atoms.end(), refuted[1].atoms.begin(),
+                   refuted[1].atoms.end(), std::back_inserter(out->atoms));
+    if (certify_) {
+      out->proof = std::make_unique<proof::Node>();
+      out->proof->kind = proof::NodeKind::kBranch;
+      out->proof->branch_terms = named_terms_for(fractional);
+      out->proof->branch_bound = floor;
+      out->proof->first = std::move(refuted[0].proof);
+      out->proof->second = std::move(refuted[1].proof);
+    }
   }
   return false;
 }

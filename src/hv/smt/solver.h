@@ -92,6 +92,9 @@ class Solver {
 
   struct Stats {
     std::int64_t decisions = 0;
+    // Decisions closed by their first branch's refutation alone, because it
+    // never read the decided atom (the false branch was never explored).
+    std::int64_t backjumps = 0;
     std::int64_t propagations = 0;
     std::int64_t simplex_checks = 0;
     std::int64_t branch_nodes = 0;
@@ -218,6 +221,18 @@ class Solver {
     std::string sig;
   };
 
+  // A refutation of the current search context: its proof (certificate
+  // mode) and its dependency set, the ascending ids of the atoms whose
+  // assignment it reads. Search builds one whenever premises are tagged.
+  struct Refutation {
+    std::unique_ptr<proof::Node> proof;
+    std::vector<int> atoms;
+  };
+
+  // Premises are tagged (and refutations tracked) in certificate and
+  // learning mode; plain search stays chronological.
+  bool tagging() const noexcept { return certify_ || learn_; }
+
   NormalizedAtom normalize(const LinearConstraint& constraint);
   int slack_for(const std::vector<std::pair<int, BigInt>>& terms);
   // Asserts a normalized atom (or its negation) on the simplex; returns
@@ -245,24 +260,37 @@ class Solver {
   // Farkas leaf "0 <= -1" citing a constraint/atom that normalizes to
   // constant falsehood.
   static std::unique_ptr<proof::Node> constant_false_node(int atom, bool positive);
-  std::unique_ptr<proof::Node> take_pending_conflict();
-  static std::unique_ptr<proof::Node> wrap_propagations(
-      std::vector<std::pair<int, Literal>>& props, std::unique_ptr<proof::Node> leaf);
   void mark_trivially_unsat(std::unique_ptr<proof::Node> proof, int depth = 0);
 
-  // DPLL over clauses; assignment_ holds per-atom values. On kUnsat in
-  // certificate mode, *out receives the proof of the current context.
-  CheckResult search(std::unique_ptr<proof::Node>* out);
+  // Search-time refutations (empty unless tagging): the simplex's last
+  // conflict, reading the atoms of its kAtom premises (learning mode also
+  // folds its depth and banks its lemma), and the conflict of an all-false
+  // clause, reading the clause's atoms.
+  Refutation simplex_refutation();
+  Refutation clause_refutation(int clause) const;
+  // Lifts a refutation found below one search level's unit propagations
+  // (in propagation order) to the level's entry: a propagation the
+  // refutation reads wraps its proof and trades the forced atom for the
+  // clause's other atoms; one it does not read is dropped.
+  void lift(const std::vector<std::pair<int, Literal>>& props, Refutation& refutation) const;
+
+  // DPLL over clauses; assignment_ holds per-atom values. On kUnsat, *out
+  // (non-null iff tagging) receives the refutation of the current context.
+  // Backjumping: a decision whose first branch is refuted without reading
+  // the decided atom is closed by that refutation alone, and the lifted
+  // refutation lets every ancestor apply the same test.
+  CheckResult search(Refutation* out);
   // Returns the clause index to branch on, -1 if all satisfied, -2 on
   // conflict; performs unit propagation as a side effect (returns -2 if a
   // propagated literal conflicts). Propagated literals are appended to
-  // *props (certificate mode); a conflict leaves its node in
-  // pending_conflict_.
+  // *props when it is non-null; a conflict leaves its refutation in
+  // pending_conflict_ when tagging.
   int propagate_and_select(std::vector<std::pair<int, Literal>>* props);
   [[nodiscard]] bool set_atom(int atom, bool value);
 
-  // Integer completion at a full boolean assignment.
-  bool branch_and_bound(int depth, std::unique_ptr<proof::Node>* out);
+  // Integer completion at a full boolean assignment; on failure *out (as
+  // for search) receives the refutation, reading its children's atoms.
+  bool branch_and_bound(int depth, Refutation* out);
   // Throws hv::Error once the wall-clock budget is exceeded.
   void enforce_deadline();
   void capture_model();
@@ -294,6 +322,7 @@ class Solver {
   bool trivially_unsat_ = false;
   int trivial_depth_ = 0;
   std::vector<Rational> model_;
+  Refutation pending_conflict_;  // set by a failed propagation or decision
 
   // Certificate mode.
   bool certify_ = false;
@@ -303,7 +332,6 @@ class Solver {
   std::vector<std::vector<std::pair<VarId, BigInt>>> slack_defs_;
   std::shared_ptr<const proof::Node> last_proof_;
   std::shared_ptr<proof::Node> trivial_proof_;
-  std::unique_ptr<proof::Node> pending_conflict_;
 
   // Learning mode.
   bool learn_ = false;

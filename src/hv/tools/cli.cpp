@@ -329,6 +329,10 @@ void print_result_text(const ta::ThresholdAutomaton& ta, const checker::Property
         << result.rational_big_ops << " bigint ops ("
         << static_cast<int>(rational_fast_ratio(result) * 100.0) << "% fast)\n";
   }
+  if (result.decisions > 0) {
+    out << "search: " << result.decisions << " decisions, " << result.backjumps
+        << " backjumps\n";
+  }
   if (result.schemas_cut > 0 || result.lemma_hits > 0 || result.lemmas_learned > 0) {
     out << "learning: " << result.schemas_cut << " schemas cut, " << result.lemma_hits
         << " lemma hits, " << result.lemmas_learned << " lemmas learned\n";

@@ -440,6 +440,50 @@ bool has_issue(const AuditReport& report, const std::string& needle) {
   return false;
 }
 
+/// A decision whose true branch is refuted by a Farkas leaf citing the
+/// decided atom itself (so the branch cannot stand without the decision).
+smt::proof::Node* decision_read_by_first_child(smt::proof::Node& node) {
+  if (node.kind == smt::proof::NodeKind::kDecision &&
+      node.first->kind == smt::proof::NodeKind::kFarkas) {
+    for (const auto& term : node.first->farkas) {
+      if (term.premise.origin == smt::proof::PremiseOrigin::kAtom &&
+          term.premise.atom == node.atom) {
+        return &node;
+      }
+    }
+  }
+  for (smt::proof::Node* child : {node.first.get(), node.second.get()}) {
+    if (child == nullptr) continue;
+    if (smt::proof::Node* found = decision_read_by_first_child(*child)) return found;
+  }
+  return nullptr;
+}
+
+TEST(CertTamperTest, DecisionCollapsedOntoABranchThatReadsItRejected) {
+  // Backjumping closes a decision with one branch's refutation only when
+  // that refutation never reads the decided atom. Forging the collapse for
+  // a branch that does read it leaves the atom unbound on the path, and
+  // the unchanged auditor rejects the premise citing it.
+  Certificate certificate = parse_certificate(bv_certificate_text());
+  bool tampered = false;
+  for (PropertyCert& property : certificate.components[0].properties) {
+    for (SchemaCert& schema : property.schemas) {
+      if (schema.sat || tampered) continue;
+      auto copy = smt::proof::clone(*schema.proof);
+      smt::proof::Node* decision = decision_read_by_first_child(*copy);
+      if (decision == nullptr) continue;
+      auto branch = std::move(decision->first);
+      *decision = std::move(*branch);
+      schema.proof = std::move(copy);
+      tampered = true;
+    }
+  }
+  ASSERT_TRUE(tampered) << "no decision whose first branch reads its atom";
+  const AuditReport report = audit_certificate(parse_certificate(to_json_text(certificate)));
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(has_issue(report, "polarity the path does not bind")) << report.to_string();
+}
+
 SchemaCert* find_schema(PropertyCert& property, std::int64_t query, const checker::Schema& schema) {
   for (SchemaCert& entry : property.schemas) {
     if (entry.query_index == query && entry.schema.unlock_order == schema.unlock_order &&
@@ -481,6 +525,30 @@ TEST(CertLearningTest, LearnedCertificateAuditsGreen) {
   for (const PropertyCert& bv_property : bv.components[0].properties) {
     EXPECT_TRUE(bv_property.cuts.empty());
   }
+}
+
+TEST(CertLearningTest, BackjumpedTerminationCertificateAuditsGreen) {
+  // SRoundTerm's justice clauses give the deepest DPLL trees of the Red
+  // Belly pipeline; backjumping closes most of their decisions with one
+  // branch, and every lifted refutation must still audit.
+  const ta::ThresholdAutomaton ta = models::simplified_consensus_one_round();
+  std::vector<spec::Property> properties;
+  for (spec::Property& property : models::simplified_properties(ta)) {
+    if (property.name == "SRoundTerm") properties.push_back(std::move(property));
+  }
+  ASSERT_EQ(properties.size(), 1u);
+  checker::CheckOptions options;
+  options.certify = true;
+  const std::vector<checker::PropertyResult> results =
+      checker::check_properties(ta, properties, options);
+  ASSERT_EQ(results[0].verdict, checker::Verdict::kHolds);
+  EXPECT_GT(results[0].backjumps, 0);
+  EXPECT_LT(results[0].backjumps, results[0].decisions);
+  Certificate certificate;
+  certificate.components.push_back(make_component_cert(
+      builtin_model_source("simplified_consensus"), properties, results, "bundled"));
+  const AuditReport report = audit_both(certificate);
+  EXPECT_TRUE(report.ok) << report.to_string();
 }
 
 TEST(CertLearningTamperTest, CutCitingBeyondItsPrefixRejected) {

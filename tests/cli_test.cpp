@@ -367,7 +367,6 @@ TEST_F(CliTest, RedbellyDagMatchesSequentialStdout) {
   ASSERT_EQ(run({"redbelly", "--dag-workers", "2"}), 0);
   EXPECT_EQ(normalize(out_.str()), sequential);
   EXPECT_NE(err_.str().find("[dag "), std::string::npos);  // progress on stderr
-  EXPECT_NE(err_.str().find("eta"), std::string::npos);
 }
 
 TEST_F(CliTest, SimulateFairDecides) {

@@ -58,6 +58,23 @@ std::string random_safety_property(const ta::ThresholdAutomaton& ta, std::mt1993
   }
 }
 
+// <>(every non-sink location empties) — the generic termination shape, and
+// the one whose justice clauses make the solver decide. Empty when every
+// location is a sink.
+std::string sink_draining_property(const ta::ThresholdAutomaton& automaton) {
+  std::string text;
+  for (ta::LocationId id = 0; id < automaton.location_count(); ++id) {
+    bool has_exit = false;
+    for (const auto& rule : automaton.rules()) {
+      has_exit = has_exit || (!rule.is_self_loop() && rule.from == id);
+    }
+    if (!has_exit) continue;
+    text += text.empty() ? "<>(" : " && ";
+    text += "loc" + automaton.location(id).name + " == 0";
+  }
+  return text.empty() ? text : text + ")";
+}
+
 class DifferentialFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DifferentialFuzz, ParameterizedAgreesWithExplicit) {
@@ -109,23 +126,9 @@ TEST_P(DifferentialFuzz, ParameterizedAgreesWithExplicit) {
 }
 
 TEST_P(DifferentialFuzz, LivenessAgreesOnSinkDraining) {
-  // <>(every non-sink location empties) — the generic termination shape.
   const ta::ThresholdAutomaton automaton = ta::random_automaton({}, GetParam() + 1000);
-  std::vector<std::string> non_sinks;
-  for (ta::LocationId id = 0; id < automaton.location_count(); ++id) {
-    bool has_exit = false;
-    for (const auto& rule : automaton.rules()) {
-      has_exit = has_exit || (!rule.is_self_loop() && rule.from == id);
-    }
-    if (has_exit) non_sinks.push_back("loc" + automaton.location(id).name + " == 0");
-  }
-  if (non_sinks.empty()) GTEST_SKIP() << "degenerate automaton";
-  std::string text = "<>(";
-  for (std::size_t i = 0; i < non_sinks.size(); ++i) {
-    if (i != 0) text += " && ";
-    text += non_sinks[i];
-  }
-  text += ")";
+  const std::string text = sink_draining_property(automaton);
+  if (text.empty()) GTEST_SKIP() << "degenerate automaton";
 
   spec::Property property;
   try {
@@ -210,11 +213,17 @@ TEST_P(DifferentialFuzz, LearningOnAndOffAgree) {
   // be verdict-preserving on arbitrary automata: a learned fact only ever
   // skips solver work whose unsat outcome is already entailed, so the
   // verdict, and for complete runs the schema accounting, must agree with a
-  // learning-free run.
+  // learning-free run. Learning also tags premises, so its search
+  // backjumps; the learning-free run is the chronological oracle, and
+  // backjumping only ever skips refuted branches of the same trees.
   std::mt19937_64 rng(GetParam() * 31337 + 3);
   const ta::ThresholdAutomaton automaton = ta::random_automaton({}, GetParam() + 2000);
-  for (int round = 0; round < 4; ++round) {
-    const std::string text = random_safety_property(automaton, rng);
+  // The last round is the sink-draining liveness property: safety queries
+  // carry no clauses, so only it makes either search decide.
+  for (int round = 0; round < 5; ++round) {
+    const std::string text =
+        round < 4 ? random_safety_property(automaton, rng) : sink_draining_property(automaton);
+    if (text.empty()) continue;
     spec::Property property;
     try {
       property = spec::compile(automaton, "learned", text);
@@ -234,6 +243,8 @@ TEST_P(DifferentialFuzz, LearningOnAndOffAgree) {
     EXPECT_EQ(off.schemas_cut, 0) << text;
     EXPECT_EQ(off.lemma_hits, 0) << text;
     EXPECT_EQ(off.lemmas_learned, 0) << text;
+    EXPECT_EQ(off.backjumps, 0) << text;
+    EXPECT_LE(on.decisions, off.decisions) << "seed=" << GetParam() << " property=" << text;
     // Learning only skips solves; it can never add them.
     EXPECT_LE(on.schemas_checked, off.schemas_checked)
         << "seed=" << GetParam() << " property=" << text;
@@ -263,7 +274,10 @@ TEST_P(DifferentialFuzz, CertifiedLearningAgreesWithOracles) {
   // learning, certify without it (the per-schema certificate), and the
   // explicit checker at small (n, t, f). Both certificates must audit
   // green, and so must one from the in-process thread pool, whose cuts
-  // land in a nondeterministic order.
+  // land in a nondeterministic order. Certifying search backjumps; a
+  // plain learning-free run searches chronologically and must agree with
+  // the per-schema certificate's run schema for schema, with at least as
+  // many decisions as either certifying run.
   std::mt19937_64 rng(GetParam() * 65537 + 11);
   // Larger and more guarded than the default automata, so that schemas
   // reach the solver and learning has refutations to reuse.
@@ -282,8 +296,12 @@ TEST_P(DifferentialFuzz, CertifiedLearningAgreesWithOracles) {
       {{v("n"), 4}, {v("t"), 1}, {v("f"), 1}},
   };
 
-  for (int round = 0; round < 4; ++round) {
-    const std::string formula = random_safety_property(automaton, rng);
+  // Rounds 4 and 5 check the sink-draining liveness property (with and
+  // without the cone), whose clauses make the searches decide and backjump.
+  for (int round = 0; round < 6; ++round) {
+    const std::string formula =
+        round < 4 ? random_safety_property(automaton, rng) : sink_draining_property(automaton);
+    if (formula.empty()) continue;
     spec::Property property;
     try {
       property = spec::compile(automaton, "oracle" + std::to_string(round), formula);
@@ -301,16 +319,25 @@ TEST_P(DifferentialFuzz, CertifiedLearningAgreesWithOracles) {
     plain.lemmas = false;
     CheckOptions threads = learning;
     threads.workers = 2;
+    CheckOptions chronological = plain;
+    chronological.certify = false;
     const PropertyResult on = check_property(automaton, property, learning);
     const PropertyResult off = check_property(automaton, property, plain);
     const PropertyResult pooled = check_property(automaton, property, threads);
+    const PropertyResult chrono = check_property(automaton, property, chronological);
     if (on.verdict == Verdict::kUnknown || off.verdict == Verdict::kUnknown ||
-        pooled.verdict == Verdict::kUnknown) {
+        pooled.verdict == Verdict::kUnknown || chrono.verdict == Verdict::kUnknown) {
       continue;
     }
     const std::string where = "seed=" + std::to_string(GetParam()) + " property=" + formula;
     EXPECT_EQ(on.verdict, off.verdict) << where;
     EXPECT_EQ(pooled.verdict, off.verdict) << where;
+    EXPECT_EQ(chrono.verdict, off.verdict) << where;
+    EXPECT_EQ(off.schemas_checked, chrono.schemas_checked) << where;
+    EXPECT_EQ(off.schemas_pruned, chrono.schemas_pruned) << where;
+    EXPECT_EQ(chrono.backjumps, 0) << where;
+    EXPECT_LE(off.decisions, chrono.decisions) << where;
+    EXPECT_LE(on.decisions, chrono.decisions) << where;
 
     const cert::AuditReport on_audit = certify_and_audit(text, property, on);
     const cert::AuditReport off_audit = certify_and_audit(text, property, off);

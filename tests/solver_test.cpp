@@ -5,6 +5,7 @@
 #include <random>
 #include <vector>
 
+#include "hv/cert/audit.h"
 #include "hv/util/error.h"
 
 namespace hv::smt {
@@ -603,6 +604,63 @@ TEST(SolverTest, LemmaPoolShortCircuitsContentEqualConflicts) {
   // applies and the context is satisfiable again.
   second.pop();
   EXPECT_EQ(second.check(), CheckResult::kSat);
+}
+
+
+// (a or b) and (c or d) over x in [3, 4], with a, b on an unconstrained y
+// and c: x >= 5, d: x <= 2. The first decision picks a; its true branch is
+// refuted by the (c or d) split alone, which never reads a. Returns a.
+int backjump_query(Solver& solver) {
+  const VarId x = solver.new_variable("x");
+  const VarId y = solver.new_variable("y");
+  solver.add(make_ge(var(x), LinearExpr(3)));
+  solver.add(make_le(var(x), LinearExpr(4)));
+  const int a = solver.add_atom(make_ge(var(y), LinearExpr(1)));
+  const int b = solver.add_atom(make_le(var(y), LinearExpr(-1)));
+  const int c = solver.add_atom(make_ge(var(x), LinearExpr(5)));
+  const int d = solver.add_atom(make_le(var(x), LinearExpr(2)));
+  solver.add_clause({{a, true}, {b, true}});
+  solver.add_clause({{c, true}, {d, true}});
+  return a;
+}
+
+bool decides_on(const proof::Node& node, int atom) {
+  if (node.kind == proof::NodeKind::kDecision && node.atom == atom) return true;
+  return (node.first != nullptr && decides_on(*node.first, atom)) ||
+         (node.second != nullptr && decides_on(*node.second, atom));
+}
+
+TEST(SolverTest, BackjumpClosesADecisionItsRefutationNeverRead) {
+  Solver chronological;  // no premise tags: both polarities of every decision
+  backjump_query(chronological);
+  ASSERT_EQ(chronological.check(), CheckResult::kUnsat);
+  EXPECT_EQ(chronological.stats().backjumps, 0);
+
+  Solver certifying;
+  certifying.enable_certificates();
+  const int a = backjump_query(certifying);
+  ASSERT_EQ(certifying.check(), CheckResult::kUnsat);
+  EXPECT_LT(certifying.stats().decisions, chronological.stats().decisions);
+  EXPECT_GE(certifying.stats().backjumps, 1);
+  ASSERT_NE(certifying.last_proof(), nullptr);
+  EXPECT_FALSE(decides_on(*certifying.last_proof(), a));
+
+  // Learning tags premises too, so it backjumps the same way.
+  LemmaPool pool;
+  Solver learning;
+  learning.enable_learning(&pool);
+  backjump_query(learning);
+  ASSERT_EQ(learning.check(), CheckResult::kUnsat);
+  EXPECT_EQ(learning.stats().decisions, certifying.stats().decisions);
+
+  // The lifted refutation audits against the query's assertion trace.
+  Solver tracer;
+  tracer.enable_trace();
+  backjump_query(tracer);
+  const cert::AuditReport report =
+      cert::audit_refutation(tracer.snapshot_trace(), *certifying.last_proof());
+  EXPECT_TRUE(report.ok) << report.to_string();
+  EXPECT_GT(report.farkas_nodes, 0);
 }
 
 }  // namespace
