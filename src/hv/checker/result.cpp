@@ -25,6 +25,14 @@ double IncrementalStats::prefix_reuse_ratio() const noexcept {
   return static_cast<double>(segments_reused) / static_cast<double>(total);
 }
 
+IncrementalStats& IncrementalStats::operator+=(const IncrementalStats& other) noexcept {
+  segments_pushed += other.segments_pushed;
+  segments_popped += other.segments_popped;
+  segments_reused += other.segments_reused;
+  schemas_encoded += other.schemas_encoded;
+  return *this;
+}
+
 std::string Counterexample::to_string(const ta::ThresholdAutomaton& ta) const {
   std::ostringstream os;
   os << "counterexample to " << property << " (" << query_description << ")\n";

@@ -77,6 +77,7 @@ struct IncrementalStats {
   /// Fraction of segment encodings served from the assertion stack instead
   /// of being re-encoded; 0 when nothing was encoded.
   double prefix_reuse_ratio() const noexcept;
+  IncrementalStats& operator+=(const IncrementalStats& other) noexcept;
 };
 
 /// Certificate raw material for one (query, schema) SMT verdict, collected
@@ -181,8 +182,7 @@ struct PropertyResult {
   std::int64_t rational_big_ops = 0;
   /// DPLL search effort: decisions (one per explored branch) and backjumps
   /// (decisions closed by their first branch's refutation, which never read
-  /// the decided atom). Counted like the op split; fleet runs (--workers,
-  /// daemon job workers) report 0, because worker records do not carry them.
+  /// the decided atom). Counted like the op split.
   std::int64_t decisions = 0;
   std::int64_t backjumps = 0;
   /// Byzantine-defense accounting of the distributed coordinator

@@ -6,17 +6,6 @@
 
 namespace hv::checker {
 
-namespace {
-
-void accumulate(IncrementalStats& into, const IncrementalStats& from) {
-  into.segments_pushed += from.segments_pushed;
-  into.segments_popped += from.segments_popped;
-  into.segments_reused += from.segments_reused;
-  into.schemas_encoded += from.schemas_encoded;
-}
-
-}  // namespace
-
 SchemaSolver::SchemaSolver(const GuardAnalysis& analysis, const spec::Property& property,
                            const CheckOptions& options, SolveHooks hooks)
     : analysis_(analysis),
@@ -81,99 +70,123 @@ EncodeResult SchemaSolver::attempt(std::size_t query_index, const Schema& schema
 void SchemaSolver::retire(std::size_t query_index) {
   auto& slot = encoders_[query_index];
   if (!slot) return;
-  accumulate(retired_, slot->stats());
+  retired_ += slot->stats();
   slot.reset();
 }
 
-UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
+SchemaRecord SchemaSolver::settle(std::size_t query_index, const Schema& schema,
+                                  const QueryCone* cone, double remaining_seconds) {
+  SchemaRecord record;
+  PropertyLearning* learning = hooks_.learning;
+  if (learning != nullptr && learning->queries[query_index].cuts.covers(schema.unlock_order)) {
+    record.kind = SchemaRecord::Kind::kCut;
+    return record;
+  }
+  if (cone != nullptr && !cone->schema_feasible(schema)) {
+    record.kind = SchemaRecord::Kind::kPruned;
+    return record;
+  }
+  record = solve(query_index, schema, cone, remaining_seconds);
+  // Core-based subtree cut: the refutation only referenced constraints of
+  // the first `cut` chain elements, so every schema whose unlock order
+  // extends that prefix (any cut placement) is unsat too. The record keeps
+  // the cut only if it is new, so it rides on exactly one unsat journal
+  // line: a kill never persists the verdict without the cut or vice versa.
+  const std::int64_t depth = record.cut;
+  record.cut = -1;
+  if (learning != nullptr && depth >= 0 &&
+      depth <= static_cast<std::int64_t>(schema.unlock_order.size()) &&
+      learning->queries[query_index].cuts.add(std::vector<int>(
+          schema.unlock_order.begin(), schema.unlock_order.begin() + depth))) {
+    record.cut = depth;
+  }
+  return record;
+}
+
+SchemaRecord SchemaSolver::solve(std::size_t query_index, const Schema& schema,
                                 const QueryCone* cone, double remaining_seconds) {
   // A non-positive remaining budget would disable the solver deadline;
   // clamp it so a unit started at the deadline still aborts promptly.
   if (options_.timeout_seconds > 0.0 && remaining_seconds <= 0.0) {
     remaining_seconds = 0.01;
   }
-  UnitOutcome outcome;
+  SchemaRecord outcome;
 
   // True iff the failure is a run-level event (cancel, global timeout) that
   // must not be retried or recorded against the schema.
   const auto fatal_interrupt = [&]() -> bool {
     if (options_.cancel != nullptr && options_.cancel->load(std::memory_order_relaxed)) {
-      outcome.kind = UnitOutcome::Kind::kInterrupted;
+      outcome.kind = SchemaRecord::Kind::kInterrupted;
       outcome.note = "cancelled";
       return true;
     }
     if (options_.timeout_seconds > 0.0 && hooks_.run_watch != nullptr &&
         hooks_.run_watch->seconds() > options_.timeout_seconds) {
-      outcome.kind = UnitOutcome::Kind::kInterrupted;
+      outcome.kind = SchemaRecord::Kind::kInterrupted;
       outcome.note = "timeout";
       return true;
     }
     return false;
   };
 
+  // One attempt; false on a contained failure, which `failure` names. A
+  // WorkerAbortFault escapes to the handler below.
   EncodeResult result;
-  bool solved = false;
   std::string failure;
+  const auto try_attempt = [&](bool incremental) {
+    try {
+      result = attempt(query_index, schema, cone, remaining_seconds, incremental);
+      return true;
+    } catch (const Error& error) {
+      failure = error.what();
+    } catch (const std::bad_alloc&) {
+      failure = "allocation failure (std::bad_alloc)";
+    }
+    return false;
+  };
+  bool solved = false;
   try {
-    result = attempt(query_index, schema, cone, remaining_seconds, options_.incremental);
-    solved = true;
+    solved = try_attempt(options_.incremental);
+    if (!solved) {
+      // The throw poisoned any incremental encoder; fold its stats and drop
+      // it (also the release valve of the memory budget).
+      retire(query_index);
+      if (fatal_interrupt()) return outcome;
+      if (options_.retry_fresh) {
+        outcome.retries = 1;
+        solved = try_attempt(false);
+        if (!solved && fatal_interrupt()) return outcome;
+      }
+    }
   } catch (const WorkerAbortFault&) {
     retire(query_index);
-    outcome.kind = UnitOutcome::Kind::kAborted;
+    outcome.kind = SchemaRecord::Kind::kAborted;
     outcome.note = "worker aborted mid-schema";
     return outcome;
-  } catch (const Error& error) {
-    failure = error.what();
-  } catch (const std::bad_alloc&) {
-    failure = "allocation failure (std::bad_alloc)";
-  }
-
-  if (!solved) {
-    // The throw poisoned any incremental encoder; fold its stats and drop it
-    // (also the release valve of the memory budget).
-    retire(query_index);
-    if (fatal_interrupt()) return outcome;
-    if (options_.retry_fresh) {
-      outcome.retries = 1;
-      try {
-        result = attempt(query_index, schema, cone, remaining_seconds, false);
-        solved = true;
-        failure.clear();
-      } catch (const WorkerAbortFault&) {
-        outcome.kind = UnitOutcome::Kind::kAborted;
-        outcome.note = "worker aborted mid-schema";
-        return outcome;
-      } catch (const Error& error) {
-        failure = error.what();
-      } catch (const std::bad_alloc&) {
-        failure = "allocation failure (std::bad_alloc)";
-      }
-      if (!solved && fatal_interrupt()) return outcome;
-    }
   }
   if (!solved) {
     // Retry ladder exhausted: the unit degrades to a recorded unknown.
-    outcome.kind = UnitOutcome::Kind::kUnknown;
+    outcome.kind = SchemaRecord::Kind::kUnknown;
     outcome.note = failure;
     return outcome;
   }
 
   outcome.length = result.length;
   outcome.pivots = result.pivots;
-  outcome.rational_fast_ops = result.rational_fast_ops;
-  outcome.rational_big_ops = result.rational_big_ops;
-  outcome.lemma_hits = result.lemma_hits;
-  outcome.lemmas_learned = result.lemmas_learned;
+  outcome.fast_ops = result.rational_fast_ops;
+  outcome.big_ops = result.rational_big_ops;
+  outcome.hits = result.lemma_hits;
+  outcome.learned = result.lemmas_learned;
   outcome.decisions = result.decisions;
   outcome.backjumps = result.backjumps;
   outcome.proof = result.proof;
   outcome.model = result.model_values;
   if (!result.sat) {
-    outcome.kind = UnitOutcome::Kind::kUnsat;
-    outcome.cut_prefix = result.cut_prefix;
+    outcome.kind = SchemaRecord::Kind::kUnsat;
+    outcome.cut = result.cut_prefix;
     return outcome;
   }
-  outcome.kind = UnitOutcome::Kind::kSat;
+  outcome.kind = SchemaRecord::Kind::kSat;
   const spec::ReachQuery& query = property_.queries[query_index];
   result.counterexample->property = property_.name;
   if (options_.validate_counterexamples) {
@@ -195,7 +208,7 @@ UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
 IncrementalStats SchemaSolver::stats() const {
   IncrementalStats total = retired_;
   for (const auto& encoder : encoders_) {
-    if (encoder) accumulate(total, encoder->stats());
+    if (encoder) total += encoder->stats();
   }
   return total;
 }

@@ -1,79 +1,38 @@
-// Per-thread schema solving with the fault-tolerant retry ladder, factored
-// out of the in-process worker pool so that every execution engine — the
-// thread pool (one worker is the sequential checker), the coordinator's
-// self-solve and the distributed worker process (hv/dist) — settles a
-// (query, schema) unit through exactly the same path:
+// The shared settle step: every execution engine — the thread pool (one
+// worker is the sequential checker), the coordinator's self-solve and spot
+// checks, and the distributed worker process (hv/dist) — settles a
+// (query, schema) unit through SchemaSolver::settle and nothing else:
 //
-//   1. first attempt on the persistent incremental encoder (when enabled),
-//      under the per-schema watchdogs (wall-clock, pivot budget, soft RSS);
-//   2. a failed or cancelled attempt retires the poisoned encoder and is
+//   1. a schema a learned subtree cut covers is settled as cut, one the
+//      property-directed cone rules out as pruned, neither solved;
+//   2. otherwise the first attempt runs on the persistent incremental
+//      encoder (when enabled), under the per-schema watchdogs (wall-clock,
+//      pivot budget, soft RSS);
+//   3. a failed or cancelled attempt retires the poisoned encoder and is
 //      retried once on a fresh non-incremental solver;
-//   3. only then is the unit reported as unknown — the run continues.
+//   4. only then is the unit reported as unknown — the run continues.
 //
-// The solver reports outcomes; journaling, statistics and run-level verdict
-// aggregation stay with the caller (parameterized.cpp in-process, the lease
-// protocol in hv/dist). Run-level interrupts (external cancellation, global
-// timeout) are reported as kInterrupted, never retried and never charged
-// against the schema.
+// The result is a SchemaRecord (settle.h); counting, journaling and the
+// verdict ladder are settle.h's too, so the callers only decide where a
+// record goes. Run-level interrupts (external cancellation, global timeout)
+// come back as kInterrupted, never retried and never charged against the
+// schema.
 #ifndef HV_CHECKER_SCHEMA_SOLVER_H
 #define HV_CHECKER_SCHEMA_SOLVER_H
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "hv/checker/encoder.h"
 #include "hv/checker/fault.h"
-#include "hv/checker/learning.h"
-#include "hv/checker/parameterized.h"
-#include "hv/checker/result.h"
 #include "hv/checker/schema.h"
+#include "hv/checker/settle.h"
 #include "hv/spec/query.h"
 #include "hv/util/stopwatch.h"
 
 namespace hv::checker {
-
-/// Outcome of settling one (query, schema) unit through the retry ladder.
-struct UnitOutcome {
-  enum class Kind {
-    kUnsat,        // schema infeasible: the verdict the property wants
-    kSat,          // counterexample found (validated, minimized)
-    kUnknown,      // retry ladder exhausted; `note` says why
-    kInterrupted,  // run-level cancel or global timeout; nothing recorded
-    kAborted,      // WorkerAbortFault: the executing worker must die
-  };
-  Kind kind = Kind::kUnknown;
-  std::int64_t length = 0;
-  std::int64_t pivots = 0;
-  /// Rational fast-path/BigInt op split for this unit (see EncodeResult).
-  std::int64_t rational_fast_ops = 0;
-  std::int64_t rational_big_ops = 0;
-  /// Fresh-solver retries taken while settling this unit (0 or 1).
-  std::int64_t retries = 0;
-  /// kUnknown: the failure that exhausted the ladder. kInterrupted: "cancelled"
-  /// or "timeout".
-  std::string note;
-  std::optional<Counterexample> counterexample;  // kSat
-  /// kSat only: non-empty iff the counterexample failed replay validation —
-  /// an internal encoder bug the run must surface instead of the verdict.
-  std::string validation_error;
-  /// kUnsat in learning mode: EncodeResult::cut_prefix — the refutation only
-  /// used the first `cut_prefix` chain elements (-1: no subtree cut).
-  int cut_prefix = -1;
-  /// Lemma-pool activity while settling this unit (learning mode).
-  std::int64_t lemma_hits = 0;
-  std::int64_t lemmas_learned = 0;
-  /// DPLL decisions and backjumps while settling this unit.
-  std::int64_t decisions = 0;
-  std::int64_t backjumps = 0;
-  /// Certify mode: proof tree (kUnsat) / named integer model (kSat).
-  std::shared_ptr<const smt::proof::Node> proof;
-  std::shared_ptr<const std::vector<std::pair<std::string, BigInt>>> model;
-};
 
 /// Run-level services shared by all SchemaSolvers of one run. All pointees
 /// must outlive the solver; null members disable the corresponding feature.
@@ -103,19 +62,23 @@ class SchemaSolver {
   SchemaSolver(const SchemaSolver&) = delete;
   SchemaSolver& operator=(const SchemaSolver&) = delete;
 
-  /// Settles one unit. `cone` may be null (pruning disabled);
-  /// `remaining_seconds` is the run's remaining global budget (<= 0 with an
-  /// armed timeout means "already at the deadline"). On Kind::kAborted the
+  /// Settles one unit: cut, then cone, then the retry ladder. `cone` may be
+  /// null (pruning disabled); `remaining_seconds` is the run's remaining
+  /// global budget (<= 0 with an armed timeout means "already at the
+  /// deadline"). An unsat refutation's subtree cut enters the learning
+  /// hooks, and the record carries it iff it is new. On Kind::kAborted the
   /// failing encoder's stats are already folded; the caller decides whether
   /// the worker dies (pool) or the process exits (dist).
-  UnitOutcome solve(std::size_t query_index, const Schema& schema, const QueryCone* cone,
-                    double remaining_seconds);
+  SchemaRecord settle(std::size_t query_index, const Schema& schema, const QueryCone* cone,
+                      double remaining_seconds);
 
   /// Incremental-encoding counters accumulated so far: retired encoders plus
   /// the live ones. Call once when the worker finishes.
   IncrementalStats stats() const;
 
  private:
+  SchemaRecord solve(std::size_t query_index, const Schema& schema, const QueryCone* cone,
+                     double remaining_seconds);
   EncodeResult attempt(std::size_t query_index, const Schema& schema, const QueryCone* cone,
                        double remaining_seconds, bool incremental);
   void retire(std::size_t query_index);

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
@@ -17,11 +16,11 @@
 #include <unordered_set>
 #include <utility>
 
-#include "hv/cert/certificate.h"
 #include "hv/checker/fault.h"
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/journal.h"
 #include "hv/checker/schema_solver.h"
+#include "hv/checker/settle.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
 #include "hv/util/stopwatch.h"
@@ -42,30 +41,14 @@ struct Lease {
   LeaseState state = LeaseState::kPending;
 };
 
-// Merge state of one property; mirrors the in-process RunState counters so
-// the final PropertyResult is assembled identically.
+// Merge state of one property: the same tally and settlement the in-process
+// pool keeps, so the final PropertyResult comes from the same builder.
 struct PropMerge {
-  std::int64_t checked = 0;
-  std::int64_t pruned = 0;
-  std::int64_t cut = 0;
-  std::int64_t lemma_hits = 0;
-  std::int64_t lemmas_learned = 0;
-  std::int64_t unknown = 0;
-  std::int64_t resumed = 0;
-  std::int64_t retries = 0;
-  std::int64_t enumerated = 0;
-  std::int64_t total_length = 0;
-  std::int64_t pivots = 0;
-  std::int64_t rational_fast_ops = 0;
-  std::int64_t rational_big_ops = 0;
-  bool stopped = false;           // counterexample or validation failure
+  checker::SchemaTally tally;
+  checker::Settlement settlement;
+  bool stopped = false;           // a witness (valid or not) settled it
   bool budget_exhausted = false;  // per-property schema budget, as in-process
-  std::optional<checker::Counterexample> counterexample;
-  std::string error_note;
-  std::string degrade_note;
   checker::IncrementalStats incremental;
-  std::vector<checker::SchemaEvidence> evidence;
-  std::vector<checker::PrunedSchema> pruned_schemas;
   double seconds = 0.0;
   bool finished = false;
   /// Origin (connection serial) of the sat record that stopped this
@@ -112,17 +95,8 @@ struct AppliedRecord {
   std::size_t q = 0;
   std::string key;
   std::string cursor;
-  std::string verdict;
-  std::int64_t length = 0;
-  std::int64_t pivots = 0;
-  std::int64_t fast_ops = 0;
-  std::int64_t big_ops = 0;
-  std::int64_t retries = 0;
+  checker::SchemaRecord counters;  // proof, model and witness dropped
 };
-
-bool definitive_verdict(const std::string& verdict) {
-  return verdict == "pruned" || verdict == "unsat" || verdict == "sat";
-}
 
 // A connection the coordinator can push frames to; `learn` records whether
 // both sides advertised the "learn" feature.
@@ -145,19 +119,18 @@ struct Coord {
   std::vector<PropMerge> props;
   /// Cross-schema learning facts folded from workers (and the resume
   /// journal), keyed by (property, query). Cuts are unsat chain prefixes;
-  /// lemmas are premise-string lists deduplicated via lemma_keys. Both are
+  /// lemmas are learn-frame entries deduplicated via lemma_keys. Both are
   /// shipped inside lease grants and broadcast as learn frames so every
   /// worker abandons subtrees another worker already refuted.
   std::map<std::pair<std::size_t, std::size_t>, std::vector<std::vector<int>>> cuts_by_pq;
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::vector<std::string>>>
-      lemmas_by_pq;
+  std::map<std::pair<std::size_t, std::size_t>, cert::Json::Array> lemmas_by_pq;
   std::unordered_set<std::string> lemma_keys;
   /// Verdict dedup and conflict detection: ResumeState::key(property name,
   /// cursor) -> verdict of everything settled (by resume replay, a worker
   /// record or an in-process solve). Makes reassignment replays idempotent
   /// and lets the handlers reject a definitive verdict that contradicts an
   /// already-settled one.
-  std::unordered_map<std::string, std::string> settled;
+  std::unordered_map<std::string, checker::SchemaRecord::Kind> settled;
   /// Settled cursors organized for per-lease skip lists:
   /// (property, query) -> [(unlock_order, cursor)].
   std::map<std::pair<std::size_t, std::size_t>,
@@ -193,35 +166,30 @@ struct Coord {
   std::atomic<std::int64_t> inline_memory_polls{0};
 };
 
-/// Caller holds solve_mutex.
-const checker::QueryCone* inline_cone_for(Coord& c, std::size_t p, std::size_t q) {
-  if (!c.check.property_directed_pruning) return nullptr;
-  auto& slot = c.inline_cones[{p, q}];
-  if (!slot) {
-    slot = std::make_unique<checker::QueryCone>(*c.analysis, (*c.properties)[p].queries[q]);
-  }
-  return slot.get();
-}
-
-/// Caller holds solve_mutex. The coordinator's solvers never learn: the
-/// lemma pool is worker-facing state, and a spot check must reproduce an
-/// honest worker's verdict, which learning cannot change, only accelerate.
-checker::SchemaSolver& inline_solver_for(Coord& c, std::size_t p) {
+/// Settles one schema in-process through the shared settle step (caller
+/// holds solve_mutex); solvers and cones are built on first use. The
+/// coordinator's solvers never learn: the lemma pool is worker-facing
+/// state, and a spot check must reproduce an honest worker's verdict, which
+/// learning cannot change, only accelerate.
+checker::SchemaRecord inline_settle(Coord& c, std::size_t p, std::size_t q,
+                                    const checker::Schema& schema) {
   if (c.inline_solvers.empty()) c.inline_solvers.resize(c.properties->size());
-  auto& slot = c.inline_solvers[p];
-  if (!slot) {
+  auto& solver = c.inline_solvers[p];
+  if (!solver) {
     checker::SolveHooks hooks;
     hooks.run_watch = c.watch;
     hooks.injector = &c.inline_injector;
     hooks.memory_polls = &c.inline_memory_polls;
-    slot = std::make_unique<checker::SchemaSolver>(*c.analysis, (*c.properties)[p], c.check,
-                                                   hooks);
+    solver = std::make_unique<checker::SchemaSolver>(*c.analysis, (*c.properties)[p], c.check,
+                                                     hooks);
   }
-  return *slot;
-}
-
-double inline_remaining(const Coord& c) {
-  return c.check.timeout_seconds > 0.0 ? c.check.timeout_seconds - c.watch->seconds() : 0.0;
+  auto& cone = c.inline_cones[{p, q}];
+  if (!cone && c.check.property_directed_pruning) {
+    cone = std::make_unique<checker::QueryCone>(*c.analysis, (*c.properties)[p].queries[q]);
+  }
+  const double remaining =
+      c.check.timeout_seconds > 0.0 ? c.check.timeout_seconds - c.watch->seconds() : 0.0;
+  return solver->settle(q, schema, cone.get(), remaining);
 }
 
 /// Raises one label's score (caller holds the mutex); crossing the ban
@@ -241,34 +209,6 @@ void bump(Coord& c, std::atomic<std::int64_t> checker::ProgressCounters::* count
   if (c.check.progress != nullptr) {
     (c.check.progress->*counter).fetch_add(delta, std::memory_order_relaxed);
   }
-}
-
-void journal_append(Coord& c, const std::string& property, const std::string& cursor,
-                    const char* verdict, std::int64_t length = 0, std::int64_t pivots = 0,
-                    const std::string& note = {}, std::int64_t cut = -1) {
-  if (c.journal == nullptr) return;
-  checker::JournalRecord record;
-  record.property = property;
-  record.cursor = cursor;
-  record.verdict = verdict;
-  record.length = length;
-  record.pivots = pivots;
-  record.cut = cut;
-  record.note = note;
-  c.journal->append(record);
-}
-
-std::string format_seconds(double seconds) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.2f", seconds);
-  return buffer;
-}
-
-void accumulate(checker::IncrementalStats& into, const checker::IncrementalStats& from) {
-  into.segments_pushed += from.segments_pushed;
-  into.segments_popped += from.segments_popped;
-  into.segments_reused += from.segments_reused;
-  into.schemas_encoded += from.schemas_encoded;
 }
 
 // Marks a property's remaining pending leases dropped (its verdict is
@@ -347,62 +287,74 @@ bool fold_cut(Coord& c, std::size_t p, std::size_t q, std::vector<int> prefix) {
   return true;
 }
 
-// Applies one settled verdict to the merge state (caller holds the mutex).
-// `resumed` distinguishes journal replay from live records; `origin` is the
-// reporting connection's serial (-1: resume replay or in-process solve) and
-// feeds the revocation log while spot-checking is armed. Returns false iff
-// the cursor was already settled (duplicate after a reassignment).
+// A learn-frame cuts[] entry.
+cert::Json cut_entry(std::size_t q, const std::vector<int>& prefix) {
+  return cert::Json::Object{{"q", static_cast<std::int64_t>(q)},
+                            {"prefix", cert::Json::Array(prefix.begin(), prefix.end())}};
+}
+
+// Sends a learn frame to every learn-capable connection but `from` (caller
+// holds the mutex).
+void broadcast_learn(Coord& c, const cert::Json& frame, const Conn* from) {
+  for (const ConnInfo& info : c.open_conns) {
+    if (info.learn && info.conn != from) info.conn->send(frame);
+  }
+}
+
+// Applies one settled record to the merge state (caller holds the mutex):
+// counts and journals it, folds its evidence and witness, and folds a
+// subtree cut riding on it (settling the pending leases it covers and
+// broadcasting it to every learn-capable connection but `from`). `origin`
+// is the reporting connection's serial (-1: resume replay or in-process
+// solve) and feeds the revocation log while spot-checking is armed. Returns
+// false iff the record was dropped: its property is settled, or the cursor
+// already was (a duplicate after a reassignment).
 bool apply_record(Coord& c, std::size_t p, std::size_t q, const checker::Schema& schema,
-                  const std::string& cursor, const std::string& verdict, std::int64_t length,
-                  std::int64_t pivots, std::int64_t cut, std::int64_t fast_ops,
-                  std::int64_t big_ops, std::int64_t retries, const std::string& note,
-                  bool resumed, bool journal_this, int origin = -1) {
-  const std::vector<spec::Property>& properties = *c.properties;
-  PropMerge& settled_prop = c.props[p];
+                  const std::string& cursor, const checker::SchemaRecord& record,
+                  bool journal_this, int origin = -1, const Conn* from = nullptr) {
+  PropMerge& prop = c.props[p];
   // A settled property wants no more verdicts: in-flight records from a
   // worker that has not yet seen its abandon frame are dropped, keeping the
   // counters identical to an in-process run that stopped enumerating there.
-  if (settled_prop.stopped || settled_prop.budget_exhausted) return false;
-  const std::string key = checker::ResumeState::key(properties[p].name, cursor);
-  if (!c.settled.emplace(key, verdict).second) return false;
+  if (prop.stopped || prop.budget_exhausted) return false;
+  const std::string& name = (*c.properties)[p].name;
+  const std::string key = checker::ResumeState::key(name, cursor);
+  if (!c.settled.emplace(key, record.kind).second) return false;
   c.settled_by_pq[{p, q}].emplace_back(schema.unlock_order, cursor);
   if (origin >= 0 && c.options->spot_check_rate > 0.0) {
-    c.applied_by_origin[origin].push_back(
-        {p, q, key, cursor, verdict, length, pivots, fast_ops, big_ops, retries});
+    AppliedRecord& applied = c.applied_by_origin[origin].emplace_back(
+        AppliedRecord{p, q, key, cursor, record});
+    applied.counters.proof.reset();
+    applied.counters.model.reset();
+    applied.counters.counterexample.reset();
   }
-  PropMerge& prop = c.props[p];
-  ++prop.enumerated;
+  prop.tally.add(record);
   bump(c, &checker::ProgressCounters::enumerated);
-  prop.retries += retries;
-  if (resumed) {
-    ++prop.resumed;
-    bump(c, &checker::ProgressCounters::resumed);
+  checker::publish(c.check.progress, record);
+  if (journal_this) checker::journal_record(c.journal, name, cursor, record);
+  if (prop.settlement.absorb(q, schema, record, c.check.certify)) {
+    prop.stopped = true;  // first witness wins; stop leasing this property
+    prop.sat_origin = origin;
+    drop_pending_leases(c, p);
+    check_property_finished(c, p);
   }
-  if (verdict == "pruned") {
-    ++prop.pruned;
-    bump(c, &checker::ProgressCounters::pruned);
-    if (c.check.certify) prop.pruned_schemas.push_back({q, schema});
-  } else if (verdict == "unsat" || verdict == "sat") {
-    ++prop.checked;
-    bump(c, &checker::ProgressCounters::solved);
-    prop.total_length += length;
-    prop.pivots += pivots;
-    prop.rational_fast_ops += fast_ops;
-    prop.rational_big_ops += big_ops;
-  } else {  // "unknown"
-    ++prop.unknown;
-    bump(c, &checker::ProgressCounters::unknown);
-    if (prop.degrade_note.empty()) {
-      prop.degrade_note = resumed ? "schema degraded to unknown (resumed): " + note
-                                  : "schema degraded to unknown: " + note;
+  // A cut proves every schema extending the chain prefix unsat; the other
+  // workers learn it so they skip the doomed subtrees too.
+  if (c.learn && record.cut >= 0 &&
+      record.cut <= static_cast<std::int64_t>(schema.unlock_order.size())) {
+    std::vector<int> prefix(schema.unlock_order.begin(),
+                            schema.unlock_order.begin() + record.cut);
+    if (fold_cut(c, p, q, prefix)) {
+      broadcast_learn(c,
+                      cert::Json::Object{{"type", "learn"},
+                                         {"p", static_cast<std::int64_t>(p)},
+                                         {"cuts", cert::Json::Array{cut_entry(q, prefix)}}},
+                      from);
     }
-  }
-  if (journal_this) {
-    journal_append(c, properties[p].name, cursor, verdict.c_str(), length, pivots, note, cut);
   }
   // The schema budget is per property, exactly like an in-process run.
   if (!prop.budget_exhausted && !prop.stopped &&
-      prop.enumerated >= c.check.enumeration.max_schemas) {
+      prop.tally.settled() >= c.check.enumeration.max_schemas) {
     prop.budget_exhausted = true;
     drop_pending_leases(c, p);
     check_property_finished(c, p);
@@ -417,11 +369,12 @@ bool apply_record(Coord& c, std::size_t p, std::size_t q, const checker::Schema&
 /// cannot learn which of its records escape scrutiny by replaying the run.
 /// Sat claims are always re-checked — a single forged witness flips the
 /// headline verdict.
-bool spot_sampled(const Coord& c, const std::string& cursor, const std::string& verdict) {
+bool spot_sampled(const Coord& c, const std::string& cursor, checker::SchemaRecord::Kind kind) {
+  using Kind = checker::SchemaRecord::Kind;
   const double rate = c.options->spot_check_rate;
   if (rate <= 0.0) return false;
-  if (verdict == "unknown") return false;  // inconclusive either way
-  if (verdict == "sat" || rate >= 1.0) return true;
+  if (kind == Kind::kUnknown) return false;  // inconclusive either way
+  if (kind == Kind::kSat || rate >= 1.0) return true;
   std::uint64_t h = 1469598103934665603ull ^ c.options->spot_check_seed;
   for (const char ch : cursor) {
     h ^= static_cast<unsigned char>(ch);
@@ -434,28 +387,30 @@ bool spot_sampled(const Coord& c, const std::string& cursor, const std::string& 
   return static_cast<double>(h >> 11) * 0x1.0p-53 < rate;
 }
 
-/// Re-solves one reported schema in-process and compares. Returns an empty
+/// Re-settles one reported schema in-process and compares. Returns an empty
 /// string on agreement (or an inconclusive re-solve — honest watchdog
 /// nondeterminism must not cost anyone a connection), else a description of
 /// the disagreement. Call WITHOUT the coordinator mutex: the solve can take
 /// as long as any schema takes.
 std::string spot_disagreement(Coord& c, std::size_t p, std::size_t q,
-                              const checker::Schema& schema, const std::string& verdict) {
+                              const checker::Schema& schema, checker::SchemaRecord::Kind claim) {
+  using Kind = checker::SchemaRecord::Kind;
+  if (claim == Kind::kPruned && !c.check.property_directed_pruning) {
+    return "pruned a schema with property-directed pruning disabled";
+  }
   std::lock_guard<std::mutex> solve_lock(c.solve_mutex);
-  const checker::QueryCone* cone = inline_cone_for(c, p, q);
-  if (verdict == "pruned") {
-    if (cone == nullptr) return "pruned a schema with property-directed pruning disabled";
-    return cone->schema_feasible(schema) ? "pruned a cone-feasible schema" : std::string();
+  const Kind kind = inline_settle(c, p, q, schema).kind;
+  if (claim == Kind::kPruned) {
+    return kind == Kind::kPruned ? std::string() : "pruned a cone-feasible schema";
   }
-  if (cone != nullptr && !cone->schema_feasible(schema)) {
-    return "solved ('" + verdict + "') a schema the coordinator's cone statically prunes";
+  if (kind == Kind::kPruned) {
+    return "solved ('" + std::string(checker::verdict_name(claim)) +
+           "') a schema the coordinator's cone statically prunes";
   }
-  const checker::UnitOutcome outcome =
-      inline_solver_for(c, p).solve(q, schema, cone, inline_remaining(c));
-  if (outcome.kind == checker::UnitOutcome::Kind::kUnsat && verdict == "sat") {
+  if (kind == Kind::kUnsat && claim == Kind::kSat) {
     return "reported sat where the coordinator re-solves unsat";
   }
-  if (outcome.kind == checker::UnitOutcome::Kind::kSat && verdict == "unsat") {
+  if (kind == Kind::kSat && claim == Kind::kUnsat) {
     return "reported unsat where the coordinator re-solves sat";
   }
   return std::string();
@@ -492,32 +447,20 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
         }
       }
       PropMerge& prop = c.props[rec.p];
-      --prop.enumerated;
+      prop.tally.subtract(rec.counters);
       bump(c, &checker::ProgressCounters::enumerated, -1);
-      prop.retries -= rec.retries;
-      if (rec.verdict == "pruned") {
-        --prop.pruned;
-        bump(c, &checker::ProgressCounters::pruned, -1);
-      } else if (rec.verdict == "unsat" || rec.verdict == "sat") {
-        --prop.checked;
-        bump(c, &checker::ProgressCounters::solved, -1);
-        prop.total_length -= rec.length;
-        prop.pivots -= rec.pivots;
-        prop.rational_fast_ops -= rec.fast_ops;
-        prop.rational_big_ops -= rec.big_ops;
-      } else {
-        --prop.unknown;
-        bump(c, &checker::ProgressCounters::unknown, -1);
-      }
-      if (rec.verdict == "sat" && prop.sat_origin == origin) {
+      checker::publish(c.check.progress, rec.counters, -1);
+      if (rec.counters.kind == checker::SchemaRecord::Kind::kSat && prop.sat_origin == origin) {
         // The revoked worker's witness was what stopped this property;
         // un-stop it so coverage completes honestly.
         prop.stopped = false;
-        prop.counterexample.reset();
-        prop.error_note.clear();
+        prop.settlement.counterexample.reset();
+        prop.settlement.error_note.clear();
         prop.sat_origin = -1;
       }
-      journal_append(c, properties[rec.p].name, rec.cursor, "revoked");
+      if (c.journal != nullptr) {
+        c.journal->append({properties[rec.p].name, rec.cursor, "revoked", 0, 0, -1, ""});
+      }
       touched.insert(rec.p);
     }
     c.applied_by_origin.erase(it);
@@ -533,7 +476,7 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
   for (const std::size_t p : touched) {
     PropMerge& prop = c.props[p];
     if (prop.budget_exhausted && !prop.stopped &&
-        prop.enumerated < c.check.enumeration.max_schemas) {
+        prop.tally.settled() < c.check.enumeration.max_schemas) {
       prop.budget_exhausted = false;
     }
     if (!prop.stopped && !prop.budget_exhausted) {
@@ -546,6 +489,54 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
     prop.finished = false;
     check_property_finished(c, p);
   }
+}
+
+// Grants the next lease (caller holds the mutex) to a fleet connection or
+// to the coordinator's own self-solve. Fair share: with several live
+// properties queued (a DAG pipeline multiplexing property-queries onto one
+// fleet), first-fit would drain property 0's leases before touching
+// property 1, serializing what the scheduler meant to interleave. So the
+// grant is the pending lease whose property has the fewest active leases;
+// ties fall to the lowest lease index, which is exactly first-fit order
+// within one property. A pending lease a recorded subtree cut covers (it
+// may have returned to pending by expropriation since) is settled on the
+// way instead of granted. Returns -1 when nothing is grantable;
+// `*work_left` says whether any lease is still pending or active.
+std::int64_t claim_lease(Coord& c, bool* work_left) {
+  std::vector<std::size_t> active_by_prop(c.props.size(), 0);
+  for (const Lease& lease : c.leases) {
+    if (lease.state == LeaseState::kActive) ++active_by_prop[lease.property];
+  }
+  std::int64_t grant = -1;
+  std::size_t grant_active = 0;
+  for (std::size_t i = 0; i < c.leases.size(); ++i) {
+    Lease& lease = c.leases[i];
+    if (lease.state == LeaseState::kActive) *work_left = true;
+    if (lease.state != LeaseState::kPending) continue;
+    *work_left = true;
+    const PropMerge& prop = c.props[lease.property];
+    if (prop.stopped || prop.budget_exhausted) continue;
+    if (c.learn) {
+      const auto cit = c.cuts_by_pq.find({lease.property, lease.query});
+      if (cit != c.cuts_by_pq.end() &&
+          std::any_of(cit->second.begin(), cit->second.end(),
+                      [&](const auto& cut) { return cut_covers_task(cut, lease.task); })) {
+        lease.state = LeaseState::kDone;
+        check_property_finished(c, lease.property);
+        continue;
+      }
+    }
+    if (grant < 0 || active_by_prop[lease.property] < grant_active) {
+      grant = static_cast<std::int64_t>(i);
+      grant_active = active_by_prop[lease.property];
+      if (grant_active == 0) break;  // an idle property: can't do better
+    }
+  }
+  if (grant >= 0) {
+    c.leases[static_cast<std::size_t>(grant)].state = LeaseState::kActive;
+    ++c.stats.leases_granted;
+  }
+  return grant;
 }
 
 // One connection's server side; runs on its own thread. `Coord` outlives
@@ -574,14 +565,7 @@ void handle_connection(Coord& c, int fd) {
     }
     // Feature negotiation: absent/empty means a pre-upgrade worker, which
     // simply never sees a learn frame (it still solves, without lemmas).
-    if (const cert::Json* features = hello.find("features")) {
-      for (const cert::Json& feature : features->as_array()) {
-        if (feature.kind() == cert::Json::Kind::kString &&
-            feature.as_string() == "learn") {
-          peer_learn = true;
-        }
-      }
-    }
+    peer_learn = has_feature(hello, "learn");
   } catch (const std::exception&) {
     return;  // mistyped hello fields: not a worker
   }
@@ -597,7 +581,7 @@ void handle_connection(Coord& c, int fd) {
     std::string reason;
     if (health.banned) {
       reason = "worker '" + label + "' is banned for this run (health score " +
-               format_seconds(health.score) + ")";
+               checker::format_seconds(health.score) + ")";
     } else if (Clock::now() < health.quarantined_until) {
       reason = "worker '" + label + "' is quarantined; retry after the cool-down";
     } else if (health.score >= kQuarantineScore) {
@@ -617,8 +601,9 @@ void handle_connection(Coord& c, int fd) {
         // the next offense re-quarantines (longer), and the ladder ends in
         // a ban.
         health.score = kQuarantineScore / 2;
-        reason = "worker '" + label + "' is quarantined for " + format_seconds(cool_seconds) +
-                 "s (health score crossed " + format_seconds(kQuarantineScore) + ")";
+        reason = "worker '" + label + "' is quarantined for " +
+                 checker::format_seconds(cool_seconds) + "s (health score crossed " +
+                 checker::format_seconds(kQuarantineScore) + ")";
       }
     }
     if (!reason.empty()) {
@@ -723,64 +708,13 @@ void handle_connection(Coord& c, int fd) {
         {
           std::lock_guard<std::mutex> lock(c.mutex);
           release_current();  // a worker asking again abandoned any holdover
-          std::int64_t grant = -1;
           bool work_left = false;
-          if (!c.closing) {
-            // Fair-share grant: with several live properties queued (a DAG
-            // pipeline multiplexing property-queries onto one fleet), first-fit
-            // would drain property 0's leases before touching property 1,
-            // serializing what the scheduler meant to interleave. Grant the
-            // pending lease whose property has the fewest workers on it; ties
-            // fall to the lowest lease index, which is exactly the old
-            // first-fit order within one property.
-            std::vector<std::size_t> active_by_prop(c.props.size(), 0);
-            for (const Lease& lease : c.leases) {
-              if (lease.state == LeaseState::kActive) ++active_by_prop[lease.property];
-            }
-            std::size_t grant_active = 0;
-            for (std::size_t i = 0; i < c.leases.size(); ++i) {
-              Lease& lease = c.leases[i];
-              if (lease.state == LeaseState::kActive) work_left = true;
-              if (lease.state != LeaseState::kPending) continue;
-              work_left = true;
-              const PropMerge& prop = c.props[lease.property];
-              if (prop.stopped || prop.budget_exhausted) continue;
-              // A lease returned to pending (expropriation) may have been
-              // covered by a subtree cut since: settle it here instead of
-              // granting doomed work.
-              if (c.learn) {
-                const auto cit = c.cuts_by_pq.find({lease.property, lease.query});
-                if (cit != c.cuts_by_pq.end()) {
-                  bool covered = false;
-                  for (const std::vector<int>& cut : cit->second) {
-                    if (cut_covers_task(cut, lease.task)) {
-                      covered = true;
-                      break;
-                    }
-                  }
-                  if (covered) {
-                    lease.state = LeaseState::kDone;
-                    check_property_finished(c, lease.property);
-                    continue;
-                  }
-                }
-              }
-              if (grant < 0 || active_by_prop[lease.property] < grant_active) {
-                grant = static_cast<std::int64_t>(i);
-                grant_active = active_by_prop[lease.property];
-                if (grant_active == 0) break;  // an idle property: can't do better
-              }
-            }
-          }
+          const std::int64_t grant = c.closing ? -1 : claim_lease(c, &work_left);
           if (grant >= 0) {
-            Lease& lease = c.leases[static_cast<std::size_t>(grant)];
-            lease.state = LeaseState::kActive;
-            ++c.stats.leases_granted;
+            const Lease& lease = c.leases[static_cast<std::size_t>(grant)];
             current = grant;
             lease_history.insert(grant);
             abandon_sent_for = -2;  // a regranted lease may need its own abandon
-            cert::Json::Array prefix;
-            for (const int g : lease.task.prefix) prefix.push_back(g);
             // Skip list: every settled cursor inside this subtree (resume
             // replay and partial work of a previous holder).
             cert::Json::Array skip;
@@ -794,7 +728,8 @@ void handle_connection(Coord& c, int fd) {
                                        {"lease", grant},
                                        {"property", static_cast<std::int64_t>(lease.property)},
                                        {"query", static_cast<std::int64_t>(lease.query)},
-                                       {"prefix", std::move(prefix)},
+                                       {"prefix", cert::Json::Array(lease.task.prefix.begin(),
+                                                                    lease.task.prefix.end())},
                                        {"extensions", lease.task.include_extensions},
                                        {"skip", std::move(skip)}};
             // Learning payload: everything known about this (property, query)
@@ -802,28 +737,16 @@ void handle_connection(Coord& c, int fd) {
             // accumulated cuts and lemmas.
             if (learn) {
               const std::pair<std::size_t, std::size_t> pq{lease.property, lease.query};
-              cert::Json::Array cuts;
               if (const auto cit = c.cuts_by_pq.find(pq); cit != c.cuts_by_pq.end()) {
+                cert::Json::Array cuts;
                 for (const std::vector<int>& cut : cit->second) {
-                  cert::Json::Array cut_prefix;
-                  for (const int g : cut) cut_prefix.push_back(g);
-                  cuts.push_back(cert::Json::Object{
-                      {"q", static_cast<std::int64_t>(lease.query)},
-                      {"prefix", std::move(cut_prefix)}});
+                  cuts.push_back(cut_entry(lease.query, cut));
                 }
+                if (!cuts.empty()) reply.set("cuts", std::move(cuts));
               }
-              cert::Json::Array lemmas;
               if (const auto lit = c.lemmas_by_pq.find(pq); lit != c.lemmas_by_pq.end()) {
-                for (const std::vector<std::string>& premises : lit->second) {
-                  cert::Json::Array strings;
-                  for (const std::string& premise : premises) strings.push_back(premise);
-                  lemmas.push_back(cert::Json::Object{
-                      {"q", static_cast<std::int64_t>(lease.query)},
-                      {"premises", std::move(strings)}});
-                }
+                reply.set("lemmas", lit->second);
               }
-              if (!cuts.empty()) reply.set("cuts", std::move(cuts));
-              if (!lemmas.empty()) reply.set("lemmas", std::move(lemmas));
             }
           } else if (work_left) {
             reply = cert::Json::Object{{"type", "wait"}, {"ms", 300}};
@@ -837,7 +760,7 @@ void handle_connection(Coord& c, int fd) {
         continue;
       }
 
-      if (type == "record") {
+      if (type == "record" || type == "sat") {
         std::size_t q = 0;
         checker::Schema schema;
         const std::string& cursor = msg.at("cursor").as_string();
@@ -848,84 +771,42 @@ void handle_connection(Coord& c, int fd) {
           break;
         }
         const std::int64_t cited = msg.at("lease").as_int();
-        const std::string verdict = msg.at("verdict").as_string();
+        // Throws (a violation, like any malformed frame) on a verdict the
+        // frame type cannot carry.
+        const checker::SchemaRecord record = record_from_json(msg);
         bool abandon = false;
         bool hostile = false;
         bool applied = false;
         {
           std::lock_guard<std::mutex> lock(c.mutex);
-          // Trust gate: the frame must carry a known verdict, cite a lease
-          // granted on THIS connection whose (property, query) match and
-          // whose subtree covers the cursor, and must not contradict an
-          // already-settled definitive verdict. (A late record for our own
-          // expropriated lease is honest — dedup absorbs it.)
+          // Trust gate: the frame must cite a lease granted on THIS
+          // connection whose (property, query) match and whose subtree
+          // covers the cursor, and must not contradict an already-settled
+          // definitive verdict. (A late record for our own expropriated
+          // lease is honest — dedup absorbs it.) A forged sat is the single
+          // highest-leverage lie a worker can tell: it costs the connection
+          // instead of the verdict.
           const Lease* cited_lease =
               cited >= 0 && cited < static_cast<std::int64_t>(c.leases.size()) &&
                       lease_history.count(cited) > 0
                   ? &c.leases[static_cast<std::size_t>(cited)]
                   : nullptr;
-          if (verdict != "pruned" && verdict != "unsat" && verdict != "unknown") {
-            hostile = true;
-          } else if (cited_lease == nullptr || cited_lease->property != p ||
-                     cited_lease->query != q ||
-                     !task_covers(cited_lease->task, schema.unlock_order)) {
+          if (cited_lease == nullptr || cited_lease->property != p ||
+              cited_lease->query != q ||
+              !task_covers(cited_lease->task, schema.unlock_order)) {
             hostile = true;
           } else if (const auto settled_it =
                          c.settled.find(checker::ResumeState::key(properties[p].name, cursor));
-                     settled_it != c.settled.end() && settled_it->second != verdict &&
-                     definitive_verdict(settled_it->second) && definitive_verdict(verdict)) {
+                     settled_it != c.settled.end() && settled_it->second != record.kind &&
+                     settled_it->second != checker::SchemaRecord::Kind::kUnknown &&
+                     record.kind != checker::SchemaRecord::Kind::kUnknown) {
             hostile = true;  // conflicting duplicate: someone is lying
           }
           if (hostile) {
             mark_hostile_locked();
           } else {
-            // "fast"/"big" are read tolerantly: pruned/unknown records (and
-            // records from pre-upgrade workers) simply omit them.
-            const cert::Json* fast_field = msg.find("fast");
-            const cert::Json* big_field = msg.find("big");
-            const cert::Json* cut_field = msg.find("cut");
-            const std::int64_t cut = cut_field != nullptr ? cut_field->as_int() : -1;
-            applied = apply_record(c, p, q, schema, cursor, verdict, msg.at("length").as_int(),
-                                   msg.at("pivots").as_int(), cut,
-                                   fast_field != nullptr ? fast_field->as_int() : 0,
-                                   big_field != nullptr ? big_field->as_int() : 0,
-                                   msg.at("retries").as_int(), msg.at("note").as_string(),
-                                   /*resumed=*/false,
-                                   /*journal_this=*/true, origin);
-            if (applied && c.check.certify && verdict == "unsat") {
-              checker::SchemaEvidence item;
-              item.query_index = q;
-              item.schema = schema;
-              item.sat = false;
-              if (const cert::Json* proof = msg.find("proof")) {
-                item.proof = std::shared_ptr<const smt::proof::Node>(
-                    cert::proof_from_json(*proof).release());
-              }
-              c.props[p].evidence.push_back(std::move(item));
-            }
-            // A record carrying a subtree cut proves every schema extending
-            // the chain prefix unsat: fold it (settling covered pending
-            // leases) and broadcast a fresh cut to the other learn-capable
-            // workers so they skip the doomed subtrees too.
-            if (learn && verdict == "unsat" && cut >= 0 &&
-                cut <= static_cast<std::int64_t>(schema.unlock_order.size())) {
-              std::vector<int> prefix(schema.unlock_order.begin(),
-                                      schema.unlock_order.begin() + cut);
-              if (fold_cut(c, p, q, prefix)) {
-                cert::Json::Array prefix_json;
-                for (int g : prefix) prefix_json.push_back(static_cast<std::int64_t>(g));
-                const cert::Json frame = cert::Json::Object{
-                    {"type", "learn"},
-                    {"p", static_cast<std::int64_t>(p)},
-                    {"cuts",
-                     cert::Json::Array{cert::Json::Object{
-                         {"q", static_cast<std::int64_t>(q)},
-                         {"prefix", std::move(prefix_json)}}}}};
-                for (const ConnInfo& info : c.open_conns) {
-                  if (info.learn && info.conn != &conn) info.conn->send(frame);
-                }
-              }
-            }
+            applied = apply_record(c, p, q, schema, cursor, record, /*journal_this=*/true,
+                                   origin, &conn);
             // Tell the worker to stop solving a subtree nobody wants: its
             // lease was expropriated, or the property is already settled
             // (first witness, exhausted budget).
@@ -933,7 +814,7 @@ void handle_connection(Coord& c, int fd) {
           }
         }
         if (hostile) break;
-        if (applied && spot_sampled(c, cursor, verdict)) {
+        if (applied && spot_sampled(c, cursor, record.kind)) {
           {
             std::lock_guard<std::mutex> lock(c.mutex);
             ++c.stats.spot_checks;
@@ -942,7 +823,7 @@ void handle_connection(Coord& c, int fd) {
           }
           // Re-solve WITHOUT the coordinator mutex — the run keeps merging
           // other workers' records while this one is audited.
-          const std::string why = spot_disagreement(c, p, q, schema, verdict);
+          const std::string why = spot_disagreement(c, p, q, schema, record.kind);
           bool lying = false;
           {
             std::lock_guard<std::mutex> lock(c.mutex);
@@ -955,103 +836,6 @@ void handle_connection(Coord& c, int fd) {
         if (abandon && abandon_sent_for != cited) {
           abandon_sent_for = cited;
           if (!conn.send(cert::Json::Object{{"type", "abandon"}, {"lease", cited}})) break;
-        }
-        continue;
-      }
-
-      if (type == "sat") {
-        std::size_t q = 0;
-        checker::Schema schema;
-        const std::string& cursor = msg.at("cursor").as_string();
-        const auto p = static_cast<std::size_t>(msg.at("property").as_int());
-        if (p >= c.props.size() || !checker::parse_schema_cursor(cursor, &q, &schema) ||
-            q >= properties[p].queries.size()) {
-          punish_violation();
-          break;
-        }
-        const std::int64_t cited = msg.at("lease").as_int();
-        bool hostile = false;
-        bool applied = false;
-        {
-          std::lock_guard<std::mutex> lock(c.mutex);
-          // Same trust gate as record frames. A sat frame is the single
-          // highest-leverage lie a worker can tell — it used to be applied
-          // unconditionally; now a forged witness for a never-granted or
-          // foreign lease costs the connection instead of the verdict.
-          const Lease* cited_lease =
-              cited >= 0 && cited < static_cast<std::int64_t>(c.leases.size()) &&
-                      lease_history.count(cited) > 0
-                  ? &c.leases[static_cast<std::size_t>(cited)]
-                  : nullptr;
-          if (cited_lease == nullptr || cited_lease->property != p ||
-              cited_lease->query != q ||
-              !task_covers(cited_lease->task, schema.unlock_order)) {
-            hostile = true;
-          } else if (const auto settled_it =
-                         c.settled.find(checker::ResumeState::key(properties[p].name, cursor));
-                     settled_it != c.settled.end() && settled_it->second != "sat" &&
-                     definitive_verdict(settled_it->second)) {
-            hostile = true;  // this cursor already settled definitively non-sat
-          }
-          if (hostile) {
-            mark_hostile_locked();
-          } else {
-            const cert::Json* sat_fast = msg.find("fast");
-            const cert::Json* sat_big = msg.find("big");
-            applied = apply_record(c, p, q, schema, cursor, "sat", msg.at("length").as_int(),
-                                   msg.at("pivots").as_int(), /*cut=*/-1,
-                                   sat_fast != nullptr ? sat_fast->as_int() : 0,
-                                   sat_big != nullptr ? sat_big->as_int() : 0,
-                                   msg.at("retries").as_int(), std::string(),
-                                   /*resumed=*/false, /*journal_this=*/true, origin);
-            if (applied) {
-              PropMerge& prop = c.props[p];
-              prop.sat_origin = origin;
-              if (c.check.certify) {
-                checker::SchemaEvidence item;
-                item.query_index = q;
-                item.schema = schema;
-                item.sat = true;
-                if (const cert::Json* model = msg.find("model")) {
-                  item.model =
-                      std::make_shared<const std::vector<std::pair<std::string, BigInt>>>(
-                          model_values_from_json(*model));
-                }
-                prop.evidence.push_back(std::move(item));
-              }
-              const std::string& validation_error = msg.at("validation_error").as_string();
-              if (!validation_error.empty()) {
-                if (prop.error_note.empty()) {
-                  prop.error_note =
-                      "internal: counterexample failed replay validation: " + validation_error;
-                }
-              } else if (const cert::Json* cex = msg.find("counterexample");
-                         cex != nullptr && !prop.counterexample) {
-                prop.counterexample = counterexample_from_json(*cex);
-              }
-              prop.stopped = true;  // first witness wins; stop leasing this property
-              drop_pending_leases(c, p);
-              check_property_finished(c, p);
-            }
-          }
-        }
-        if (hostile) break;
-        if (applied && spot_sampled(c, cursor, "sat")) {
-          {
-            std::lock_guard<std::mutex> lock(c.mutex);
-            ++c.stats.spot_checks;
-            ++c.props[p].spot_checks;
-            ++c.spot_inflight;  // a forged sat must not win the completion race
-          }
-          const std::string why = spot_disagreement(c, p, q, schema, "sat");
-          bool lying = false;
-          {
-            std::lock_guard<std::mutex> lock(c.mutex);
-            --c.spot_inflight;
-            lying = !why.empty();
-            if (lying) revoke_origin(c, origin, label, lease_history, p, cursor, why);
-          }
-          if (lying) break;
         }
         continue;
       }
@@ -1085,16 +869,15 @@ void handle_connection(Coord& c, int fd) {
         if (const cert::Json* lemmas = msg.find("lemmas")) {
           for (const cert::Json& entry : lemmas->as_array()) {
             const auto q = static_cast<std::size_t>(entry.at("q").as_int());
-            if (q >= properties[p].queries.size()) continue;
-            std::vector<std::string> premises;
+            const cert::Json::Array& premises = entry.at("premises").as_array();
+            if (q >= properties[p].queries.size() || premises.empty()) continue;
             std::string key = std::to_string(p) + '|' + std::to_string(q);
-            for (const cert::Json& premise : entry.at("premises").as_array()) {
-              premises.push_back(premise.as_string());
+            for (const cert::Json& premise : premises) {
               key += '\x1f';
-              key += premises.back();
+              key += premise.as_string();
             }
-            if (premises.empty() || !c.lemma_keys.insert(key).second) continue;
-            c.lemmas_by_pq[{p, q}].push_back(std::move(premises));
+            if (!c.lemma_keys.insert(key).second) continue;
+            c.lemmas_by_pq[{p, q}].push_back(entry);
             fresh_lemmas.push_back(entry);
           }
         }
@@ -1103,9 +886,7 @@ void handle_connection(Coord& c, int fd) {
               {"type", "learn"}, {"p", static_cast<std::int64_t>(p)}};
           if (!fresh_cuts.empty()) frame.set("cuts", std::move(fresh_cuts));
           if (!fresh_lemmas.empty()) frame.set("lemmas", std::move(fresh_lemmas));
-          for (const ConnInfo& info : c.open_conns) {
-            if (info.learn && info.conn != &conn) info.conn->send(frame);
-          }
+          broadcast_learn(c, frame, &conn);
         }
         continue;
       }
@@ -1116,27 +897,28 @@ void handle_connection(Coord& c, int fd) {
         if (id == current && id >= 0) {
           Lease& lease = c.leases[static_cast<std::size_t>(id)];
           if (lease.state == LeaseState::kActive) lease.state = LeaseState::kDone;
+          // Counters, read tolerantly (pre-upgrade workers omit the
+          // learning ones). Cut counts only cover subtrees a worker
+          // enumerated past — subtrees never granted thanks to a cut are not
+          // enumerated at all, so the distributed count is a documented
+          // undercount.
+          PropMerge& prop = c.props[lease.property];
           if (const cert::Json* stats = msg.find("stats")) {
             checker::IncrementalStats delta;
             delta.segments_pushed = stats->at("segments_pushed").as_int();
             delta.segments_popped = stats->at("segments_popped").as_int();
             delta.segments_reused = stats->at("segments_reused").as_int();
             delta.schemas_encoded = stats->at("schemas_encoded").as_int();
-            accumulate(c.props[lease.property].incremental, delta);
+            prop.incremental += delta;
           }
-          // Learning counters, read tolerantly (pre-upgrade workers omit
-          // them). Cut counts only cover subtrees a worker enumerated past —
-          // subtrees never granted thanks to a cut are not enumerated at
-          // all, so the distributed count is a documented undercount.
-          PropMerge& prop = c.props[lease.property];
-          if (const cert::Json* cut = msg.find("cut")) {
-            prop.cut += cut->as_int();
-            bump(c, &checker::ProgressCounters::cut, cut->as_int());
-          }
-          if (const cert::Json* hits = msg.find("hits")) prop.lemma_hits += hits->as_int();
-          if (const cert::Json* learned = msg.find("learned")) {
-            prop.lemmas_learned += learned->as_int();
-          }
+          const auto field = [&](const char* key) {
+            const cert::Json* value = msg.find(key);
+            return value != nullptr ? value->as_int() : 0;
+          };
+          prop.tally.cut += field("cut");
+          prop.tally.hits += field("hits");
+          prop.tally.learned += field("learned");
+          bump(c, &checker::ProgressCounters::cut, field("cut"));
           current = -1;
           check_property_finished(c, lease.property);
         }
@@ -1167,155 +949,64 @@ void handle_connection(Coord& c, int fd) {
   conn.close();
 }
 
-// Graceful degradation: claims ONE pending lease and solves it on the
-// accept-loop thread, exactly like a worker would (same enumeration, cone
-// pruning, solver and budget merging — apply_record dedups against anything
-// already settled). Called only when the fleet is exhausted; one lease at a
-// time so the loop re-checks for fresh connections, cancellation and the
-// global timeout between subtrees. Returns false when nothing is grantable.
+// Graceful degradation: claims ONE pending lease and settles it on the
+// accept-loop thread through the same claim and settle step a worker lease
+// gets (apply_record dedups against anything already settled). Called only
+// when the fleet is exhausted; one lease at a time so the loop re-checks for
+// fresh connections, cancellation and the global timeout between subtrees.
+// Returns false when nothing is grantable.
 bool self_solve_one_lease(Coord& c) {
   std::int64_t grant = -1;
-  std::size_t p = 0;
-  std::size_t q = 0;
-  checker::SubtreeTask task;
   {
     std::lock_guard<std::mutex> lock(c.mutex);
-    for (std::size_t i = 0; i < c.leases.size(); ++i) {
-      Lease& lease = c.leases[i];
-      if (lease.state != LeaseState::kPending) continue;
-      const PropMerge& prop = c.props[lease.property];
-      if (prop.stopped || prop.budget_exhausted) continue;
-      if (c.learn) {
-        const auto cit = c.cuts_by_pq.find({lease.property, lease.query});
-        if (cit != c.cuts_by_pq.end()) {
-          bool covered = false;
-          for (const std::vector<int>& cut : cit->second) {
-            if (cut_covers_task(cut, lease.task)) {
-              covered = true;
-              break;
-            }
-          }
-          if (covered) {
-            lease.state = LeaseState::kDone;
-            check_property_finished(c, lease.property);
-            continue;
-          }
-        }
-      }
-      grant = static_cast<std::int64_t>(i);
-      lease.state = LeaseState::kActive;
-      ++c.stats.leases_granted;
-      ++c.stats.leases_self_solved;
-      p = lease.property;
-      q = lease.query;
-      task = lease.task;
-      break;
-    }
+    bool work_left = false;
+    grant = claim_lease(c, &work_left);
+    if (grant < 0) return false;
+    ++c.stats.leases_self_solved;
   }
-  if (grant < 0) return false;
+  // A lease's property, query and task never change after planning.
+  Lease& lease = c.leases[static_cast<std::size_t>(grant)];
+  const std::size_t p = lease.property;
+  const std::size_t q = lease.query;
   const std::vector<spec::Property>& properties = *c.properties;
   bool bail = false;  // cancel/timeout/abort: the lease goes back to pending
   {
     std::lock_guard<std::mutex> solve_lock(c.solve_mutex);
-    const checker::QueryCone* cone = inline_cone_for(c, p, q);
-    checker::SchemaSolver& solver = inline_solver_for(c, p);
     const int cut_count = static_cast<int>(properties[p].queries[q].cuts.size());
     // The global schema budget is enforced as records merge, like workers.
     checker::EnumerationOptions enumeration = c.check.enumeration;
     enumeration.max_schemas = std::numeric_limits<std::int64_t>::max();
     enumerate_schemas_under(
-        *c.analysis, task, cut_count, enumeration, [&](const checker::Schema& schema) {
+        *c.analysis, lease.task, cut_count, enumeration, [&](const checker::Schema& schema) {
+          const std::string cursor = checker::schema_cursor(q, schema);
           {
             std::lock_guard<std::mutex> lock(c.mutex);
             if (c.props[p].stopped || c.props[p].budget_exhausted) return false;
-          }
-          if (c.check.cancel != nullptr && c.check.cancel->load(std::memory_order_relaxed)) {
-            bail = true;
-            return false;
-          }
-          if (c.check.timeout_seconds > 0.0 && c.watch->seconds() > c.check.timeout_seconds) {
-            bail = true;
-            return false;
-          }
-          const std::string cursor = checker::schema_cursor(q, schema);
-          if (cone != nullptr && !cone->schema_feasible(schema)) {
-            std::lock_guard<std::mutex> lock(c.mutex);
-            apply_record(c, p, q, schema, cursor, "pruned", 0, 0, /*cut=*/-1, 0, 0, 0,
-                         std::string(), /*resumed=*/false, /*journal_this=*/true);
-            return true;
-          }
-          {
             // Skip without counting anything a worker already settled.
-            std::lock_guard<std::mutex> lock(c.mutex);
             if (c.settled.count(checker::ResumeState::key(properties[p].name, cursor)) > 0) {
               return true;
             }
           }
-          checker::UnitOutcome outcome = solver.solve(q, schema, cone, inline_remaining(c));
-          std::lock_guard<std::mutex> lock(c.mutex);
-          switch (outcome.kind) {
-            case checker::UnitOutcome::Kind::kAborted:
-            case checker::UnitOutcome::Kind::kInterrupted:
-              bail = true;
-              return false;
-            case checker::UnitOutcome::Kind::kUnknown:
-              apply_record(c, p, q, schema, cursor, "unknown", 0, 0, /*cut=*/-1, 0, 0,
-                           outcome.retries, outcome.note, /*resumed=*/false,
-                           /*journal_this=*/true);
-              return true;
-            case checker::UnitOutcome::Kind::kUnsat:
-              if (apply_record(c, p, q, schema, cursor, "unsat", outcome.length,
-                               outcome.pivots, /*cut=*/-1, outcome.rational_fast_ops,
-                               outcome.rational_big_ops, outcome.retries, std::string(),
-                               /*resumed=*/false, /*journal_this=*/true) &&
-                  c.check.certify) {
-                checker::SchemaEvidence item;
-                item.query_index = q;
-                item.schema = schema;
-                item.sat = false;
-                item.proof = outcome.proof;
-                c.props[p].evidence.push_back(std::move(item));
-              }
-              return true;
-            case checker::UnitOutcome::Kind::kSat:
-              if (apply_record(c, p, q, schema, cursor, "sat", outcome.length, outcome.pivots,
-                               /*cut=*/-1, outcome.rational_fast_ops, outcome.rational_big_ops,
-                               outcome.retries, std::string(), /*resumed=*/false,
-                               /*journal_this=*/true)) {
-                PropMerge& prop = c.props[p];
-                prop.sat_origin = -1;
-                if (c.check.certify) {
-                  checker::SchemaEvidence item;
-                  item.query_index = q;
-                  item.schema = schema;
-                  item.sat = true;
-                  item.model = outcome.model;
-                  prop.evidence.push_back(std::move(item));
-                }
-                if (!outcome.validation_error.empty()) {
-                  if (prop.error_note.empty()) {
-                    prop.error_note = "internal: counterexample failed replay validation: " +
-                                      outcome.validation_error;
-                  }
-                } else if (outcome.counterexample && !prop.counterexample) {
-                  prop.counterexample = std::move(outcome.counterexample);
-                }
-                prop.stopped = true;
-                drop_pending_leases(c, p);
-                check_property_finished(c, p);
-              }
-              return false;  // the property is settled (or a dup raced us)
+          bail = (c.check.cancel != nullptr && c.check.cancel->load(std::memory_order_relaxed)) ||
+                 (c.check.timeout_seconds > 0.0 && c.watch->seconds() > c.check.timeout_seconds);
+          if (bail) return false;
+          const checker::SchemaRecord record = inline_settle(c, p, q, schema);
+          if (record.kind == checker::SchemaRecord::Kind::kAborted ||
+              record.kind == checker::SchemaRecord::Kind::kInterrupted) {
+            bail = true;
+            return false;
           }
-          return true;
+          std::lock_guard<std::mutex> lock(c.mutex);
+          apply_record(c, p, q, schema, cursor, record, /*journal_this=*/true);
+          return !c.props[p].stopped;
         });
   }
   {
     std::lock_guard<std::mutex> lock(c.mutex);
-    Lease& lease = c.leases[static_cast<std::size_t>(grant)];
     if (lease.state == LeaseState::kActive) {
       lease.state = bail ? LeaseState::kPending : LeaseState::kDone;
     }
-    check_property_finished(c, lease.property);
+    check_property_finished(c, p);
   }
   return true;
 }
@@ -1402,7 +1093,7 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
     // A budget of zero (or below) is exhausted before any schema settles.
     std::lock_guard<std::mutex> lock(c.mutex);
     for (std::size_t p = 0; p < properties.size(); ++p) {
-      if (c.props[p].enumerated >= c.check.enumeration.max_schemas) {
+      if (c.check.enumeration.max_schemas <= 0) {
         c.props[p].budget_exhausted = true;
         drop_pending_leases(c, p);
         check_property_finished(c, p);
@@ -1427,19 +1118,12 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
       if (!checker::parse_schema_cursor(record.cursor, &q, &schema)) continue;
       if (q >= properties[it->second].queries.size()) continue;
       // Journal records carry no arithmetic counters; resumed schemas
-      // contribute zero to the fast/big split (documented in result.h).
-      apply_record(c, it->second, q, schema, record.cursor, record.verdict, record.length,
-                   record.pivots, record.cut, /*fast_ops=*/0, /*big_ops=*/0, /*retries=*/0,
-                   record.note, /*resumed=*/true, /*journal_this=*/copy_resumed);
-      // A cut riding on a replayed unsat record re-enters the coordinator's
+      // contribute zero to the fast/big split (documented in result.h). A
+      // cut riding on a replayed unsat record re-enters the coordinator's
       // pool: covered leases settle before ever being granted, and the cut
       // ships inside lease grants like a live one.
-      if (c.learn && record.verdict == "unsat" && record.cut >= 0 &&
-          record.cut <= static_cast<std::int64_t>(schema.unlock_order.size())) {
-        std::vector<int> prefix(schema.unlock_order.begin(),
-                                schema.unlock_order.begin() + record.cut);
-        fold_cut(c, it->second, q, std::move(prefix));
-      }
+      apply_record(c, it->second, q, schema, record.cursor, checker::resumed_record(record),
+                   /*journal_this=*/copy_resumed);
     }
     for (std::size_t p = 0; p < properties.size(); ++p) check_property_finished(c, p);
   }
@@ -1516,86 +1200,26 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
     for (std::size_t p = 0; p < properties.size(); ++p) check_property_finished(c, p);
   }
 
-  // Assemble PropertyResults exactly like the in-process checker.
+  // Assemble PropertyResults with the in-process checker's builder.
   std::vector<checker::PropertyResult> results;
   results.reserve(properties.size());
   for (std::size_t p = 0; p < properties.size(); ++p) {
     PropMerge& prop = c.props[p];
-    checker::PropertyResult result;
-    result.property = properties[p].name;
-    result.schemas_checked = prop.checked;
-    result.schemas_pruned = prop.pruned;
-    result.schemas_cut = prop.cut;
-    result.lemma_hits = prop.lemma_hits;
-    result.lemmas_learned = prop.lemmas_learned;
-    result.schemas_unknown = prop.unknown;
-    result.schemas_resumed = prop.resumed;
-    result.retries = prop.retries;
-    result.interrupted = c.interrupted;
-    result.avg_schema_length =
-        prop.checked == 0 ? 0.0
-                          : static_cast<double>(prop.total_length) /
-                                static_cast<double>(prop.checked);
-    result.seconds = prop.finished ? prop.seconds : watch.seconds();
-    result.simplex_pivots = prop.pivots;
-    result.rational_fast_ops = prop.rational_fast_ops;
-    result.rational_big_ops = prop.rational_big_ops;
-    result.schemas_spot_checked = prop.spot_checks;
-    result.spot_check_disagreements = prop.spot_failures;
-    if (c.check.incremental) result.incremental = prop.incremental;
-
-    const auto progress = [&] {
-      return " after " + format_seconds(result.seconds) + "s; solved " +
-             std::to_string(result.schemas_checked) + "/" + std::to_string(prop.enumerated) +
-             " enumerated schemas, " + std::to_string(result.schemas_pruned) + " pruned";
-    };
-    const bool complete_leases = [&] {
-      for (const Lease& lease : c.leases) {
-        if (lease.property == p && lease.state != LeaseState::kDone) return false;
-      }
-      return true;
-    }();
-    if (prop.counterexample) {
-      result.verdict = checker::Verdict::kViolated;
-      result.counterexample = std::move(prop.counterexample);
-    } else if (!prop.error_note.empty()) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = prop.error_note + progress();
-    } else if (c.interrupted) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = "interrupted" + progress();
-    } else if (c.timed_out) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note =
-          "timeout (limit " + format_seconds(options.check.timeout_seconds) + "s)" + progress();
-    } else if (prop.budget_exhausted) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = "schema budget exhausted (" +
-                    std::to_string(c.check.enumeration.max_schemas) + ")" + progress();
-    } else if (prop.unknown > 0) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = prop.degrade_note + " (" + std::to_string(prop.unknown) +
-                    " schemas unknown)" + progress();
-    } else if (!complete_leases) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = "run stopped before full coverage" + progress();
-    } else {
-      result.verdict = checker::Verdict::kHolds;
-    }
-    if (!prop.disagreement.empty()) {
-      result.note =
-          result.note.empty() ? prop.disagreement : result.note + "; " + prop.disagreement;
-    }
-    if (c.check.certify) {
-      auto evidence = std::make_shared<checker::PropertyEvidence>();
-      evidence->schemas = std::move(prop.evidence);
-      evidence->pruned = std::move(prop.pruned_schemas);
-      evidence->enumeration = c.check.enumeration;
-      evidence->property_directed_pruning = c.check.property_directed_pruning;
-      evidence->complete = result.verdict == checker::Verdict::kHolds;
-      result.evidence = std::move(evidence);
-    }
-    results.push_back(std::move(result));
+    checker::RunEnd end;
+    end.enumerated = prop.tally.settled();
+    end.seconds = prop.finished ? prop.seconds : watch.seconds();
+    end.interrupted = c.interrupted;
+    end.timed_out = c.timed_out;
+    end.budget_exhausted = prop.budget_exhausted;
+    end.incomplete = std::any_of(c.leases.begin(), c.leases.end(), [&](const Lease& lease) {
+      return lease.property == p && lease.state != LeaseState::kDone;
+    });
+    end.disagreement = prop.disagreement;
+    end.incremental = prop.incremental;
+    results.push_back(checker::build_result(properties[p].name, prop.tally,
+                                            std::move(prop.settlement), end, c.check, nullptr));
+    results.back().schemas_spot_checked = prop.spot_checks;
+    results.back().spot_check_disagreements = prop.spot_failures;
   }
   if (stats != nullptr) {
     std::lock_guard<std::mutex> lock(c.mutex);

@@ -360,4 +360,86 @@ std::vector<std::pair<std::string, BigInt>> model_values_from_json(const cert::J
   return values;
 }
 
+bool has_feature(const cert::Json& message, const std::string& feature) {
+  const cert::Json* features = message.find("features");
+  if (features == nullptr) return false;
+  for (const cert::Json& offered : features->as_array()) {
+    if (offered.kind() == cert::Json::Kind::kString && offered.as_string() == feature) return true;
+  }
+  return false;
+}
+
+cert::Json record_to_json(std::int64_t lease, std::size_t property, const std::string& cursor,
+                          const checker::SchemaRecord& record) {
+  const bool sat = record.kind == checker::SchemaRecord::Kind::kSat;
+  cert::Json frame = cert::Json::Object{{"type", sat ? "sat" : "record"},
+                                        {"lease", lease},
+                                        {"property", static_cast<std::int64_t>(property)},
+                                        {"cursor", cursor},
+                                        {"length", record.length},
+                                        {"pivots", record.pivots},
+                                        {"retries", record.retries}};
+  if (sat) {
+    frame.set("validation_error", record.validation_error);
+  } else {
+    frame.set("verdict", checker::verdict_name(record.kind));
+    frame.set("note", record.note);
+  }
+  for (const auto& [key, value] : {std::pair{"fast", record.fast_ops},
+                                   std::pair{"big", record.big_ops},
+                                   std::pair{"decisions", record.decisions},
+                                   std::pair{"backjumps", record.backjumps}}) {
+    if (value != 0) frame.set(key, value);
+  }
+  if (record.cut >= 0) frame.set("cut", record.cut);
+  if (record.proof) frame.set("proof", cert::proof_to_json(*record.proof));
+  if (record.model) frame.set("model", model_values_to_json(*record.model));
+  if (record.counterexample) {
+    frame.set("counterexample", counterexample_to_json(*record.counterexample));
+  }
+  return frame;
+}
+
+checker::SchemaRecord record_from_json(const cert::Json& frame) {
+  using Kind = checker::SchemaRecord::Kind;
+  checker::SchemaRecord record;
+  if (frame.at("type").as_string() == "sat") {
+    record.kind = Kind::kSat;
+    record.validation_error = frame.at("validation_error").as_string();
+  } else {
+    const std::string& verdict = frame.at("verdict").as_string();
+    if (verdict == "pruned") {
+      record.kind = Kind::kPruned;
+    } else if (verdict == "unsat") {
+      record.kind = Kind::kUnsat;
+    } else if (verdict != "unknown") {
+      throw Error("dist: a record frame cannot carry verdict '" + verdict + "'");
+    }
+    record.note = frame.at("note").as_string();
+  }
+  record.length = frame.at("length").as_int();
+  record.pivots = frame.at("pivots").as_int();
+  record.retries = frame.at("retries").as_int();
+  const auto optional = [&](const char* key, std::int64_t absent) {
+    const cert::Json* value = frame.find(key);
+    return value != nullptr ? value->as_int() : absent;
+  };
+  record.fast_ops = optional("fast", 0);
+  record.big_ops = optional("big", 0);
+  record.decisions = optional("decisions", 0);
+  record.backjumps = optional("backjumps", 0);
+  record.cut = optional("cut", -1);
+  if (const cert::Json* proof = frame.find("proof")) {
+    record.proof = std::shared_ptr<const smt::proof::Node>(cert::proof_from_json(*proof).release());
+  }
+  if (const cert::Json* model = frame.find("model")) {
+    record.model = std::make_shared<const std::vector<std::pair<std::string, BigInt>>>(
+        model_values_from_json(*model));
+  }
+  if (const cert::Json* cex = frame.find("counterexample")) {
+    record.counterexample = counterexample_from_json(*cex);
+  }
+  return record;
+}
+
 }  // namespace hv::dist

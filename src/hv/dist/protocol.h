@@ -10,10 +10,13 @@
 //     hello      {protocol, label, features[]?}
 //     next       {}                     request a lease (pull model)
 //     record     {lease, property, cursor, verdict, length, pivots,
-//                 retries, note, cut?, proof?, model?} one settled schema;
+//                 retries, note, fast?, big?, decisions?, backjumps?, cut?,
+//                 proof?} one settled schema (pruned, unsat or unknown);
 //                 cut = subtree-cut prefix length of an unsat refutation
 //     sat        {lease, property, cursor, length, pivots, retries,
-//                 validation_error, counterexample?, model?}
+//                 validation_error, fast?, big?, decisions?, backjumps?,
+//                 counterexample?, model?} a witness
+//                (both are one checker::SchemaRecord: record_to_json)
 //     learn      {p, lemmas[]?}           freshly pooled Farkas lemmas
 //                                         (cuts ride on record frames)
 //     lease_done {lease, stats{...}, cut?, hits?, learned?}
@@ -75,6 +78,7 @@
 #include "hv/cert/json.h"
 #include "hv/checker/parameterized.h"
 #include "hv/checker/result.h"
+#include "hv/checker/settle.h"
 #include "hv/dist/frame.h"
 #include "hv/spec/query.h"
 #include "hv/ta/automaton.h"
@@ -168,6 +172,10 @@ std::vector<PropertySpec> specs_from_json(const cert::Json& json);
 
 // --- wire conversions -------------------------------------------------------
 
+/// True iff a hello/welcome message's "features" array (read tolerantly:
+/// absent or non-string entries offer nothing) lists `feature`.
+bool has_feature(const cert::Json& message, const std::string& feature);
+
 /// Solver settings a worker needs to reproduce the coordinator's checking
 /// semantics; the subset of checker::CheckOptions that travels.
 cert::Json options_to_json(const checker::CheckOptions& options);
@@ -178,6 +186,16 @@ checker::CheckOptions options_from_json(const cert::Json& json);
 /// identically.
 cert::Json counterexample_to_json(const checker::Counterexample& cex);
 checker::Counterexample counterexample_from_json(const cert::Json& json);
+
+/// One settled schema of `lease` as a record frame, or a sat frame for a
+/// witness. The counters fast/big/decisions/backjumps are omitted when zero
+/// and read tolerantly (absent = 0), like the cut (absent = -1).
+cert::Json record_to_json(std::int64_t lease, std::size_t property, const std::string& cursor,
+                          const checker::SchemaRecord& record);
+/// The record inside a record or sat frame (lease, property and cursor are
+/// the caller's). Throws on missing or mistyped fields and on a verdict the
+/// frame type cannot carry.
+checker::SchemaRecord record_from_json(const cert::Json& frame);
 
 /// Certify-mode model values ([name, integer-string] pairs).
 cert::Json model_values_to_json(const std::vector<std::pair<std::string, BigInt>>& values);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -11,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "hv/cert/certificate.h"
 #include "hv/checker/cone.h"
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/journal.h"
@@ -135,14 +133,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     properties = resolve_properties(*parsed, specs_from_json(welcome.at("properties")));
     // Tolerant feature read: a pre-upgrade coordinator omits the array and
     // this worker solves without lemmas instead of dropping the connection.
-    if (const cert::Json* features = welcome.find("features")) {
-      for (const cert::Json& feature : features->as_array()) {
-        if (feature.kind() == cert::Json::Kind::kString &&
-            feature.as_string() == "learn") {
-          peer_learn = true;
-        }
-      }
-    }
+    peer_learn = has_feature(welcome, "learn");
     // Tolerant lease-timeout read: refuse a heartbeat period the
     // coordinator would mistake for death. A period above half the lease
     // timeout leaves no slack for a slow schema between beats; the stop is
@@ -170,7 +161,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   const ta::ThresholdAutomaton& ta = *parsed;
 
   const checker::GuardAnalysis analysis(ta);
-  // deque: QueryCone owns a mutex and must not move.
+  // unique_ptr: QueryCone owns a mutex and must not move.
   std::map<std::pair<std::size_t, std::size_t>, std::unique_ptr<checker::QueryCone>> cones;
   const auto cone_for = [&](std::size_t p, std::size_t q) -> const checker::QueryCone* {
     if (!check.property_directed_pruning) return nullptr;
@@ -373,11 +364,10 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     const checker::IncrementalStats before = solver.stats();
     const int cut_count = static_cast<int>(properties[p].queries[q].cuts.size());
     LeaseExit exit = LeaseExit::kComplete;
-    // Per-lease learning accounting, reported in lease_done. New cuts ride
-    // on their unsat record frames; only lemmas travel in learn frames.
-    std::int64_t lease_cut = 0;
-    std::int64_t lease_hits = 0;
-    std::int64_t lease_learned = 0;
+    // Per-lease learning accounting (cut, hits, learned), reported in
+    // lease_done. New cuts ride on their unsat record frames; only lemmas
+    // travel in learn frames.
+    checker::SchemaTally lease_tally;
 
     // The coordinator can cut a lease short mid-stream with an "abandon"
     // frame — the property settled under another worker (first witness,
@@ -418,123 +408,41 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
 
     enumerate_schemas_under(
         analysis, task, cut_count, check.enumeration, [&](const checker::Schema& schema) {
+          using Kind = checker::SchemaRecord::Kind;
           if (cancelled()) {
             exit = LeaseExit::kInterrupted;
             return false;
           }
           const std::string cursor = checker::schema_cursor(q, schema);
           if (skip.count(cursor) > 0) return true;  // settled before this lease
-          if (learn_mode && learning_for(p).queries[q].cuts.covers(schema.unlock_order)) {
-            // A recorded subtree cut refutes this schema without a solve (and
-            // without a record frame — the count travels in lease_done).
-            ++lease_cut;
-            return true;
-          }
-          if (cone != nullptr && !cone->schema_feasible(schema)) {
-            return stream(cert::Json::Object{{"type", "record"},
-                                             {"lease", lease_id},
-                                             {"property", static_cast<std::int64_t>(p)},
-                                             {"cursor", cursor},
-                                             {"verdict", "pruned"},
-                                             {"length", 0},
-                                             {"pivots", 0},
-                                             {"retries", 0},
-                                             {"note", ""}});
-          }
-          checker::UnitOutcome outcome = solver.solve(q, schema, cone, remaining());
-          lease_hits += outcome.lemma_hits;
-          lease_learned += outcome.lemmas_learned;
-          std::int64_t record_cut = -1;
-          if (learn_mode && outcome.kind == checker::UnitOutcome::Kind::kUnsat &&
-              outcome.cut_prefix >= 0 &&
-              outcome.cut_prefix <= static_cast<int>(schema.unlock_order.size())) {
-            std::vector<int> prefix(schema.unlock_order.begin(),
-                                    schema.unlock_order.begin() + outcome.cut_prefix);
-            if (learning_for(p).queries[q].cuts.add(prefix)) {
-              record_cut = outcome.cut_prefix;
-            }
-          }
-          switch (outcome.kind) {
-            case checker::UnitOutcome::Kind::kAborted:
+          checker::SchemaRecord record = solver.settle(q, schema, cone, remaining());
+          lease_tally.add(record);
+          switch (record.kind) {
+            case Kind::kCut:
+              return true;  // counted in lease_done, no record frame
+            case Kind::kAborted:
               exit = LeaseExit::kAborted;
               return false;
-            case checker::UnitOutcome::Kind::kInterrupted:
+            case Kind::kInterrupted:
               exit = LeaseExit::kInterrupted;
-              report.note = outcome.note;
+              report.note = record.note;
               return false;
-            case checker::UnitOutcome::Kind::kUnknown:
-              return stream(cert::Json::Object{{"type", "record"},
-                                               {"lease", lease_id},
-                                               {"property", static_cast<std::int64_t>(p)},
-                                               {"cursor", cursor},
-                                               {"verdict", "unknown"},
-                                               {"length", 0},
-                                               {"pivots", 0},
-                                               {"retries", outcome.retries},
-                                               {"note", outcome.note}});
-            case checker::UnitOutcome::Kind::kUnsat: {
-              if (options.lie_about_verdicts) {
-                // Byzantine test hook: forge a counterexample-free "sat" for
-                // a schema the solver just refuted, then stop the lease like
-                // an honest witness-finder would. Spot-checking must catch
-                // this; --certify would catch it offline.
-                cert::Json forged = cert::Json::Object{{"type", "sat"},
-                                                       {"lease", lease_id},
-                                                       {"property", static_cast<std::int64_t>(p)},
-                                                       {"cursor", cursor},
-                                                       {"length", outcome.length},
-                                                       {"pivots", outcome.pivots},
-                                                       {"fast", outcome.rational_fast_ops},
-                                                       {"big", outcome.rational_big_ops},
-                                                       {"retries", outcome.retries},
-                                                       {"validation_error", ""}};
-                if (stream(std::move(forged))) exit = LeaseExit::kSatFound;
-                return false;
-              }
-              cert::Json record = cert::Json::Object{{"type", "record"},
-                                                     {"lease", lease_id},
-                                                     {"property", static_cast<std::int64_t>(p)},
-                                                     {"cursor", cursor},
-                                                     {"verdict", "unsat"},
-                                                     {"length", outcome.length},
-                                                     {"pivots", outcome.pivots},
-                                                     {"fast", outcome.rational_fast_ops},
-                                                     {"big", outcome.rational_big_ops},
-                                                     {"retries", outcome.retries},
-                                                     {"note", ""}};
-              // The cut rides on the record so the coordinator journals the
-              // verdict and the subtree cut in one atomic line.
-              if (record_cut >= 0) record.set("cut", record_cut);
-              if (check.certify && outcome.proof) {
-                record.set("proof", cert::proof_to_json(*outcome.proof));
-              }
-              return stream(std::move(record));
-            }
-            case checker::UnitOutcome::Kind::kSat: {
-              cert::Json message = cert::Json::Object{{"type", "sat"},
-                                                      {"lease", lease_id},
-                                                      {"property", static_cast<std::int64_t>(p)},
-                                                      {"cursor", cursor},
-                                                      {"length", outcome.length},
-                                                      {"pivots", outcome.pivots},
-                                                      {"fast", outcome.rational_fast_ops},
-                                                      {"big", outcome.rational_big_ops},
-                                                      {"retries", outcome.retries},
-                                                      {"validation_error",
-                                                       outcome.validation_error}};
-              if (outcome.counterexample) {
-                message.set("counterexample", counterexample_to_json(*outcome.counterexample));
-              }
-              if (check.certify && outcome.model) {
-                message.set("model", model_values_to_json(*outcome.model));
-              }
-              if (stream(std::move(message))) exit = LeaseExit::kSatFound;
-              // Either way stop this lease: the property is settled (or the
-              // connection is gone).
-              return false;
-            }
+            default:
+              break;
           }
-          return true;
+          if (options.lie_about_verdicts && record.kind == Kind::kUnsat) {
+            // Byzantine test hook: forge a counterexample-free "sat" for a
+            // schema the solver just refuted, then stop the lease like an
+            // honest witness-finder would. Spot-checking must catch this;
+            // --certify would catch it offline.
+            record.kind = Kind::kSat;
+            record.cut = -1;
+            record.proof.reset();
+          }
+          if (!stream(record_to_json(lease_id, p, cursor, record))) return false;
+          if (record.kind != Kind::kSat) return true;
+          exit = LeaseExit::kSatFound;  // the property is settled: stop this lease
+          return false;
         });
 
     if (exit == LeaseExit::kDropped) {
@@ -590,9 +498,9 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
                                          {"lease", lease_id},
                                          {"stats", stats_delta(before, after)}};
     if (learn_mode) {
-      done.set("cut", lease_cut);
-      done.set("hits", lease_hits);
-      done.set("learned", lease_learned);
+      done.set("cut", lease_tally.cut);
+      done.set("hits", lease_tally.hits);
+      done.set("learned", lease_tally.learned);
     }
     if (!conn.send(done)) {
       report.note = "connection lost";

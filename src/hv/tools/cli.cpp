@@ -1,5 +1,6 @@
 #include "hv/tools/cli.h"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
@@ -1148,7 +1149,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
   g_interrupted.store(false);
   Args cursor(args);
   const auto command = cursor.next_positional();
-  if (!command || *command == "--help" || *command == "help") {
+  if (!command || *command == "--help" || *command == "help" ||
+      std::find(args.begin(), args.end(), "--help") != args.end()) {
     out << kUsage;
     return command ? 0 : 2;
   }

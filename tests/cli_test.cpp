@@ -69,6 +69,15 @@ TEST_F(CliTest, HelpAndUnknownCommand) {
   EXPECT_NE(err_.str().find("unknown command"), std::string::npos);
 }
 
+TEST_F(CliTest, EveryCommandPrintsUsageOnHelp) {
+  for (const char* command : {"check", "serve", "work", "daemon", "submit", "status", "result",
+                              "cancel", "audit", "explicit", "dot", "print", "redbelly",
+                              "simulate"}) {
+    EXPECT_EQ(run({command, "--help"}), 0) << command << ": " << err_.str();
+    EXPECT_NE(out_.str().find("usage:"), std::string::npos) << command;
+  }
+}
+
 TEST_F(CliTest, CheckHoldsReturnsZero) {
   const int code =
       run({"check", model_path_, "--prop", "[](locB == 0) -> [](locD == 0)"});

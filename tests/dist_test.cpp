@@ -45,6 +45,27 @@ ta Echo {
 }
 )";
 
+// Small enough for a threaded fleet, and its Corr property makes DPLL
+// decisions.
+constexpr const char* kStModel = R"(
+ta StBroadcast {
+  parameters n, t, f;
+  shared nsnt;
+  resilience n - 3*t >= 1;
+  resilience t - f >= 0;
+  resilience f >= 0;
+  processes n - f;
+  initial V0, V1;
+  locations SE, AC;
+  rule r1: V1 -> SE do nsnt += 1;
+  rule r2: V0 -> SE when -t + f + nsnt >= 1 do nsnt += 1;
+  rule r3: SE -> AC when -2*t + f + nsnt >= 1;
+  selfloop V0;
+  selfloop SE;
+  selfloop AC;
+}
+)";
+
 constexpr const char* kHoldsFormula = "[](locB == 0) -> [](locD == 0)";
 constexpr const char* kViolatedFormula = "<>(locA == 0 && locW == 0)";
 
@@ -231,6 +252,53 @@ TEST(DistProtocol, OptionsSurviveTheWire) {
   EXPECT_FALSE(back.retry_fresh);
 }
 
+TEST(DistProtocol, SchemaRecordsSurviveTheWire) {
+  using Kind = checker::SchemaRecord::Kind;
+  checker::SchemaRecord unsat;
+  unsat.kind = Kind::kUnsat;
+  unsat.length = 5;
+  unsat.pivots = 17;
+  unsat.fast_ops = 300;
+  unsat.retries = 1;
+  unsat.decisions = 9;
+  unsat.backjumps = 4;
+  unsat.cut = 2;
+  const cert::Json frame = record_to_json(3, 1, "q0|1,2|", unsat);
+  EXPECT_EQ(frame.at("type").as_string(), "record");
+  EXPECT_EQ(frame.find("big"), nullptr);  // zero counters stay off the wire
+  const checker::SchemaRecord back = record_from_json(frame);
+  EXPECT_EQ(back.kind, Kind::kUnsat);
+  EXPECT_EQ(back.length, 5);
+  EXPECT_EQ(back.pivots, 17);
+  EXPECT_EQ(back.fast_ops, 300);
+  EXPECT_EQ(back.big_ops, 0);
+  EXPECT_EQ(back.retries, 1);
+  EXPECT_EQ(back.decisions, 9);
+  EXPECT_EQ(back.backjumps, 4);
+  EXPECT_EQ(back.cut, 2);
+
+  checker::SchemaRecord unknown;
+  unknown.note = "smt: simplex pivot budget exceeded";
+  EXPECT_EQ(record_from_json(record_to_json(0, 0, "q0||", unknown)).note, unknown.note);
+
+  checker::SchemaRecord sat;
+  sat.kind = Kind::kSat;
+  sat.validation_error = "replay diverged";
+  const cert::Json sat_frame = record_to_json(0, 0, "q0||", sat);
+  EXPECT_EQ(sat_frame.at("type").as_string(), "sat");
+  EXPECT_EQ(record_from_json(sat_frame).kind, Kind::kSat);
+  EXPECT_EQ(record_from_json(sat_frame).validation_error, "replay diverged");
+  EXPECT_EQ(record_from_json(sat_frame).cut, -1);
+
+  // A record frame carries pruned, unsat or unknown only.
+  for (const char* verdict : {"sat", "cut", "maybe"}) {
+    const cert::Json forged = cert::Json::Object{
+        {"type", "record"}, {"verdict", verdict},  {"length", std::int64_t{0}},
+        {"pivots", std::int64_t{0}}, {"retries", std::int64_t{0}}, {"note", ""}};
+    EXPECT_THROW(record_from_json(forged), Error) << verdict;
+  }
+}
+
 TEST(DistProtocol, CounterexamplesSurviveTheWire) {
   checker::Counterexample cex;
   cex.property = "everyone_proceeds";
@@ -276,10 +344,10 @@ struct ServeRun {
   std::thread thread;
 
   void start(const std::string& address, const std::vector<PropertySpec>& specs,
-             const DistOptions& options) {
-    thread = std::thread([this, address, specs, options] {
+             const DistOptions& options, const char* model = kEchoModel) {
+    thread = std::thread([this, address, specs, options, model] {
       try {
-        results = serve(kEchoModel, specs, address, options, &stats);
+        results = serve(model, specs, address, options, &stats);
       } catch (const Error& e) {
         error = e.what();
       }
@@ -958,6 +1026,76 @@ TEST(DistByzantine, HonestFleetPassesSpotChecksWithCountersIntact) {
   EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
   EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);
   EXPECT_EQ(run.results[0].schemas_unknown, reference[0].schemas_unknown);
+}
+
+// --- one settle step, one tally, one verdict ladder -------------------------
+
+/// The bundled st-broadcast Corr property, checked in-process at `workers`
+/// threads and over a threaded one-worker fleet.
+std::vector<checker::PropertyResult> corr_in_process(checker::CheckOptions options, int workers) {
+  const ta::ThresholdAutomaton ta = ta::parse_ta(kStModel).one_round_reduction();
+  options.workers = workers;
+  return checker::check_properties(ta, resolve_properties(ta, {{"Corr", "", true}}), options);
+}
+
+std::vector<checker::PropertyResult> corr_over_fleet(const DistOptions& options,
+                                                     const char* socket) {
+  const std::string address = "unix:" + temp_path(socket);
+  ServeRun run;
+  run.start(address, {{"Corr", "", true}}, options, kStModel);
+  const WorkerReport report = run_one_worker(address, "ladder");
+  run.join();
+  EXPECT_TRUE(run.error.empty()) << run.error;
+  EXPECT_TRUE(report.completed) << report.note;
+  return run.results;
+}
+
+TEST(DistEndToEnd, FleetReportsSearchCounters) {
+  // Worker records carry decisions and backjumps, so a fleet run reports
+  // the same search effort the in-process pool does.
+  DistOptions options;
+  options.check.property_directed_pruning = false;
+  const auto reference = corr_in_process(options.check, 1);
+  ASSERT_EQ(reference.size(), 1u);
+  ASSERT_GT(reference[0].decisions, 0);
+  const auto fleet = corr_over_fleet(options, "dist_search.sock");
+  ASSERT_EQ(fleet.size(), 1u);
+  EXPECT_EQ(fleet[0].verdict, checker::Verdict::kHolds);
+  EXPECT_GT(fleet[0].decisions, 0);
+  EXPECT_EQ(fleet[0].schemas_checked, reference[0].schemas_checked);
+}
+
+TEST(DistEndToEnd, VerdictLadderMatchesInProcess) {
+  // The in-process pool at 1 and 3 workers and the fleet build their
+  // results with one ladder: the same verdict and the same note up to its
+  // " after <seconds>" progress suffix, both for an exhausted schema budget
+  // and for schemas degraded to unknown.
+  const auto ladder_note = [](const checker::PropertyResult& result) {
+    return result.note.substr(0, result.note.find(" after "));
+  };
+  DistOptions budget;
+  budget.check.property_directed_pruning = false;
+  budget.check.enumeration.max_schemas = 2;
+  DistOptions degraded;
+  degraded.check.property_directed_pruning = false;
+  degraded.check.incremental = false;  // every attempt is a fresh, deterministic solve
+  degraded.check.pivot_budget = 1;
+  for (const auto& [options, expected] :
+       {std::pair{budget, "schema budget exhausted (2)"},
+        std::pair{degraded, "schema degraded to unknown: smt: simplex pivot budget exceeded"}}) {
+    const auto reference = corr_in_process(options.check, 1);
+    ASSERT_EQ(reference.size(), 1u);
+    EXPECT_EQ(reference[0].verdict, checker::Verdict::kUnknown);
+    EXPECT_EQ(ladder_note(reference[0]).rfind(expected, 0), 0u) << reference[0].note;
+    std::vector<checker::PropertyResult> runs = corr_in_process(options.check, 3);
+    const auto fleet = corr_over_fleet(options, "dist_ladder.sock");
+    runs.insert(runs.end(), fleet.begin(), fleet.end());
+    ASSERT_EQ(runs.size(), 2u);
+    for (const checker::PropertyResult& result : runs) {
+      EXPECT_EQ(result.verdict, reference[0].verdict);
+      EXPECT_EQ(ladder_note(result), ladder_note(reference[0])) << result.note;
+    }
+  }
 }
 
 // --- reconnect jitter and heartbeat validation ------------------------------
